@@ -27,6 +27,7 @@
 #include "agent/forward.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "ingest/exposition.hpp"
 #include "metrics/online.hpp"
 #include "trace/io_record.hpp"
 
@@ -65,11 +66,11 @@ class MetricAggregator {
   /// already past it.
   void advance(SimTime now);
 
-  std::uint64_t records_total() const { return records_total_; }
-  std::uint64_t blocks_total() const { return blocks_total_; }
-  std::uint64_t failed_total() const { return failed_total_; }
-  std::uint64_t sync_total() const { return sync_total_; }
-  std::uint64_t invalid_total() const { return invalid_total_; }
+  std::uint64_t records_total() const { return totals_.records_total; }
+  std::uint64_t blocks_total() const { return totals_.blocks_total; }
+  std::uint64_t failed_total() const { return totals_.failed_total; }
+  std::uint64_t sync_total() const { return totals_.sync_total; }
+  std::uint64_t invalid_total() const { return totals_.invalid_total; }
   std::uint64_t pids_seen() const { return per_pid_.size(); }
   SimDuration window() const { return window_; }
 
@@ -85,15 +86,13 @@ class MetricAggregator {
   std::string csv_snapshot() const;
 
  private:
+  metrics::SlidingWindowMetrics& window_for(std::uint32_t pid);
+
   SimDuration window_;
   Bytes block_size_;
   metrics::SlidingWindowMetrics global_;
   std::map<std::uint32_t, metrics::SlidingWindowMetrics> per_pid_;
-  std::uint64_t records_total_ = 0;
-  std::uint64_t blocks_total_ = 0;
-  std::uint64_t failed_total_ = 0;
-  std::uint64_t sync_total_ = 0;
-  std::uint64_t invalid_total_ = 0;
+  ingest::LifetimeCounters totals_;
 };
 
 }  // namespace bpsio::agent

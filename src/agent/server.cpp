@@ -1,310 +1,78 @@
 #include "agent/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <utility>
-
-#include "common/format.hpp"
-#include "common/net_util.hpp"
-#include "common/poll_loop.hpp"
-#include "common/wallclock.hpp"
-#include "trace/merge.hpp"
-#include "trace/spill_writer.hpp"
 
 namespace bpsio::agent {
 namespace {
 
-constexpr int kPollIntervalMs = 50;
-constexpr std::size_t kRecvChunk = 64 * 1024;
+ingest::NodeOptions node_options(const AgentOptions& options) {
+  ingest::NodeOptions node;
+  static_cast<ingest::CommonOptions&>(node) = options;
+  node.name = "agent";
+  node.expect_conns = options.expect_clients;
+  return node;
+}
 
 }  // namespace
 
 AgentServer::AgentServer(AgentOptions options)
     : options_(std::move(options)),
-      aggregator_(options_.window, options_.block_size) {}
-
-AgentServer::~AgentServer() {
-  for (CaptureConn& conn : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    ::unlink(options_.socket_path.c_str());
-  }
-  if (http_fd_ >= 0) ::close(http_fd_);
-}
+      aggregator_(options_.window, options_.block_size),
+      node_(node_options(options_), *this) {}
 
 Status AgentServer::start() {
-  if (options_.socket_path.empty()) {
-    return Error{Errc::invalid_argument, "agent: socket path is required"};
-  }
-  if (!options_.drain_path.empty() && options_.spool_dir.empty()) {
-    return Error{Errc::invalid_argument,
-                 "agent: --drain requires a spool directory"};
-  }
-  if (!options_.spool_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.spool_dir, ec);
-    if (ec) {
-      return Error{Errc::io_error,
-                   "agent: cannot create spool dir " + options_.spool_dir};
-    }
-  }
-
-  listen_fd_ = net::bind_unix_listener(options_.socket_path, 64);
-  if (listen_fd_ < 0) {
-    return Error{Errc::io_error,
-                 "agent: cannot bind/listen on " + options_.socket_path};
-  }
-
-  if (options_.http_port >= 0) {
-    http_fd_ = net::bind_loopback_listener(options_.http_port, 16,
-                                           &bound_http_port_);
-    if (http_fd_ < 0) {
-      return Error{Errc::io_error,
-                   "agent: cannot bind HTTP port " +
-                       std::to_string(options_.http_port)};
-    }
-    if (!options_.port_file.empty() &&
-        !net::write_file_atomic(options_.port_file,
-                                std::to_string(bound_http_port_) + "\n")) {
-      return Error{Errc::io_error,
-                   "agent: cannot write port file " + options_.port_file};
-    }
-  }
-
-  if (!options_.forward_target.empty()) {
-    ForwardOptions fwd;
-    fwd.target = options_.forward_target;
-    fwd.tenant = options_.forward_tenant;
-    fwd.spill_dir = options_.forward_spill_dir;
-    fwd.batch = options_.forward_batch;
-    forward_ = std::make_unique<ForwardLink>(std::move(fwd));
-    if (const Status connected = forward_->connect(); !connected.ok()) {
-      return connected;
-    }
-    transport_.forward.enabled = true;
-  }
-
-  last_csv_ns_ = monotonic_ns();
-  started_ = true;
-  return {};
+  if (const Status started = node_.start(); !started.ok()) return started;
+  if (options_.forward_target.empty()) return {};
+  ForwardOptions fwd;
+  fwd.target = options_.forward_target;
+  fwd.tenant = options_.forward_tenant;
+  fwd.spill_dir = options_.forward_spill_dir;
+  fwd.batch = options_.forward_batch;
+  forward_ = std::make_unique<ForwardLink>(std::move(fwd));
+  return forward_->connect();
 }
 
-void AgentServer::accept_capture() {
-  for (;;) {
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN / transient: nothing more to accept now
-    CaptureConn conn;
-    conn.fd = fd;
-    conn.stream_id = ++conn_serial_;
-    if (!options_.drain_path.empty()) {
-      char name[32];
-      std::snprintf(name, sizeof name, "conn-%08llu.bpstrace",
-                    static_cast<unsigned long long>(spool_index_++));
-      conn.spool_path = options_.spool_dir;
-      if (!conn.spool_path.empty() && conn.spool_path.back() != '/') {
-        conn.spool_path += '/';
-      }
-      conn.spool_path += name;
-      conn.spool = std::make_unique<trace::SpillWriter>(conn.spool_path);
-      if (!conn.spool->ok()) {
-        // The drain promise is already broken for this connection; better to
-        // refuse it (the client falls back to file spill, losing nothing)
-        // than to silently produce an incomplete drain.
-        std::fprintf(stderr, "bpsio_agentd: cannot open spool %s; refusing "
-                             "capture connection\n",
-                     conn.spool_path.c_str());
-        ::close(fd);
-        continue;
-      }
-    }
-    ++transport_.clients_connected_total;
-    ++transport_.clients_active;
-    conn_fds_.push_back(conn.fd);
-    conns_.push_back(std::move(conn));
-  }
+TransportStats AgentServer::transport() const {
+  const ingest::Counters c = node_.counters();
+  TransportStats t;
+  t.clients_connected_total = c.connected_total;
+  t.clients_active = c.active;
+  t.frames_total = c.frames_total;
+  t.bad_frames_total = c.bad_frames_total;
+  if (forward_ != nullptr) t.forward = forward_->stats();
+  return t;
 }
 
-bool AgentServer::service_capture(CaptureConn& conn) {
-  char buf[kRecvChunk];
-  // Each completed frame reaches the aggregator, the spool, and the upstream
-  // forward link as one span over the recv buffer (or the decoder's scratch
-  // for split frames) — the only per-record copies left on this path are the
-  // spool's and the forward batch's bulk fills.
-  const trace::FrameDecoder::FrameSink sink =
-      [this, &conn](std::span<const trace::IoRecord> frame) {
-        aggregator_.add(frame);
-        if (conn.spool != nullptr) conn.spool->append(frame);
-        if (forward_ != nullptr) forward_->append(conn.stream_id, frame);
-      };
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_capture(conn, /*record_loss_ok=*/true);
-      return false;
-    }
-    if (n == 0) {  // orderly EOF from the client's close()
-      close_capture(conn, conn.decoder.pending_bytes() == 0);
-      return false;
-    }
-    const Status fed =
-        conn.decoder.feed(buf, static_cast<std::size_t>(n), sink);
-    transport_.frames_total +=
-        conn.decoder.frames_decoded() - conn.frames_counted;
-    conn.frames_counted = conn.decoder.frames_decoded();
-    if (!fed.ok()) {
-      ++transport_.bad_frames_total;
-      std::fprintf(stderr, "bpsio_agentd: dropping connection: %s\n",
-                   fed.to_string().c_str());
-      close_capture(conn, /*record_loss_ok=*/true);
-      return false;
-    }
-  }
-  return true;
+ingest::Role::Sink AgentServer::open_stream(const std::string& /*tenant*/,
+                                            std::uint64_t serial) {
+  return [this, serial](std::span<const trace::IoRecord> frame) {
+    aggregator_.add(frame);
+    if (forward_ != nullptr) forward_->append(serial, frame);
+  };
 }
 
-void AgentServer::close_capture(CaptureConn& conn, bool record_loss_ok) {
-  if (!record_loss_ok) {
-    // A trailing partial frame means the peer died mid-send. Those records
-    // were never acknowledged, so the client (if it lived) re-shipped them
-    // to its spill file — the daemon just notes the torn tail.
-    std::fprintf(stderr,
-                 "bpsio_agentd: connection closed mid-frame (%zu bytes "
-                 "discarded; client re-ships unacknowledged buffers)\n",
-                 conn.decoder.pending_bytes());
-  }
-  if (conn.spool != nullptr) {
-    const Status closed = conn.spool->close();
-    if (!closed.ok()) {
-      std::fprintf(stderr, "bpsio_agentd: spool close failed: %s\n",
-                   closed.to_string().c_str());
-    }
-    conn.spool.reset();
-    drained_spools_.push_back(conn.spool_path);
-  }
-  if (forward_ != nullptr) forward_->stream_done(conn.stream_id);
-  ::close(conn.fd);
-  conn.fd = -1;
-  --transport_.clients_active;
+void AgentServer::close_stream(std::uint64_t serial) {
+  if (forward_ != nullptr) forward_->stream_done(serial);
 }
 
-void AgentServer::sync_forward_stats() {
-  if (forward_ != nullptr) transport_.forward = forward_->stats();
+// Ship partial forward batches at the round tail: forwarding latency is
+// bounded by one poll interval even under a trickle of records.
+void AgentServer::end_round() {
+  if (forward_ != nullptr) forward_->flush_all();
 }
 
-std::string AgentServer::http_response() {
-  aggregator_.advance(SimTime(monotonic_ns()));
-  sync_forward_stats();
-  return aggregator_.prometheus_text(transport_);
-}
-
-void AgentServer::accept_http() {
-  for (;;) {
-    const int fd = ::accept4(http_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) return;
-    net::serve_plain_http(fd, [this] { return http_response(); });
-  }
-}
-
-void AgentServer::write_csv_snapshot() {
-  aggregator_.advance(SimTime(monotonic_ns()));
-  if (!net::write_file_atomic(options_.csv_path, aggregator_.csv_snapshot())) {
-    std::fprintf(stderr, "bpsio_agentd: cannot write CSV snapshot %s\n",
-                 options_.csv_path.c_str());
-  }
-}
-
-Status AgentServer::run() {
-  BPSIO_CHECK(started_, "AgentServer::run() before start()");
-  PollLoop loop;
-  loop.add_listener(listen_fd_, [this] { accept_capture(); });
-  if (http_fd_ >= 0) loop.add_listener(http_fd_, [this] { accept_http(); });
-  for (;;) {
-    if (options_.stop != nullptr &&
-        options_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    if (options_.expect_clients > 0 &&
-        transport_.clients_connected_total >= options_.expect_clients &&
-        transport_.clients_active == 0) {
-      break;
-    }
-
-    const Status polled =
-        loop.round(conn_fds_, kPollIntervalMs, [this](std::size_t i) {
-          if (!service_capture(conns_[i])) {
-            conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-            conn_fds_.erase(conn_fds_.begin() + static_cast<std::ptrdiff_t>(i));
-            return false;
-          }
-          return true;
-        });
-    if (!polled.ok()) {
-      return Error{Errc::io_error, "agent: poll failed"};
-    }
-    // Ship partial forward batches at the round tail: forwarding latency is
-    // bounded by one poll interval even under a trickle of records.
-    if (forward_ != nullptr) forward_->flush_all();
-
-    if (!options_.csv_path.empty()) {
-      const std::int64_t now = monotonic_ns();
-      if (now - last_csv_ns_ >= options_.csv_interval.ns()) {
-        write_csv_snapshot();
-        last_csv_ns_ = now;
-      }
-    }
-  }
-
-  // Shutdown: stop accepting, flush every open connection's spool. Records
-  // still in flight on a connection are the client's problem by contract (a
-  // frame is delivered only when fully received).
-  while (!conns_.empty()) {
-    (void)service_capture(conns_.back());  // drain what already arrived
-    if (!conns_.empty() && conns_.back().fd >= 0) {
-      close_capture(conns_.back(), conns_.back().decoder.pending_bytes() == 0);
-    }
-    if (!conns_.empty()) {
-      conns_.pop_back();
-      conn_fds_.pop_back();
-    }
-  }
-  ::close(listen_fd_);
-  ::unlink(options_.socket_path.c_str());
-  listen_fd_ = -1;
+void AgentServer::finish() {
   if (forward_ != nullptr) forward_->close();
-  sync_forward_stats();
-  if (!options_.csv_path.empty()) write_csv_snapshot();
-
-  if (!options_.drain_path.empty()) return drain();
-  return {};
 }
 
-Status AgentServer::drain() {
-  // Per-connection spools are each one capture thread's start-ordered
-  // stream; k-way merge them exactly the way bpsio_report merges per-thread
-  // spill files (keep timestamps, keep pids) and write one sorted v2 trace.
-  if (const Status merged =
-          trace::merge_trace_files(drained_spools_, options_.drain_path);
-      !merged.ok()) {
-    return Error{Errc::io_error, "agent: drain failed: " + merged.to_string()};
-  }
-  for (const std::string& path : drained_spools_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
-  std::error_code ec;
-  std::filesystem::remove(options_.spool_dir, ec);  // only when now empty
-  return {};
+std::string AgentServer::metrics_text(SimTime now) {
+  aggregator_.advance(now);
+  return aggregator_.prometheus_text(transport());
+}
+
+std::string AgentServer::csv_text(SimTime now) {
+  aggregator_.advance(now);
+  return aggregator_.csv_snapshot();
 }
 
 }  // namespace bpsio::agent

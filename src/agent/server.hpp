@@ -1,74 +1,35 @@
-// bpsio_agentd's event loop: Unix-socket frame ingestion, /metrics HTTP
-// export, periodic CSV snapshots, and shutdown drain.
+// bpsio_agentd's server: the agent role on the shared ingest engine
+// (ingest/node.hpp).
 //
-// The daemon realizes the paper's "global collection" as a live service.
 // Capture clients (the LD_PRELOAD interposer with BPSIO_CAPTURE_SOCKET set)
 // connect to a Unix-domain stream socket and ship length-prefixed frames of
-// v2 IoRecords (trace/frame.hpp); the server feeds every record to a
-// MetricAggregator and — when a drain file is requested — spools each
-// connection's records to its own .bpstrace. Because one connection is one
-// capture thread's start-ordered stream, the spools satisfy the streaming
-// pipeline's ordering contract and drain() can k-way merge them with
-// MergedSource into a single sorted v2 trace, exactly the way bpsio_report
-// merges per-thread spill files (TimeAlignment::keep, pid_stride 0). The
-// drained trace therefore yields bit-identical B and T to a direct file
-// spill of the same run: same record multiset, same integer accumulation.
-//
-// Everything runs on one poll() loop — no threads, no locks. HTTP requests
-// (GET /metrics, GET /healthz) are answered synchronously; responses are a
-// few kilobytes and clients are local scrapers, so the simplicity is worth
-// more than async writes.
+// v2 IoRecords (trace/frame.hpp). The engine runs inline — every connection
+// on the one poll() loop, no threads, no locks — and this role feeds each
+// decoded span to a pid-keyed MetricAggregator and, with --forward, to a
+// ForwardLink that re-ships it upstream to a bpsio_collectord under the
+// span's (connection, origin stream) serial. With --drain the engine spools
+// each (connection, origin stream) to its own .bpstrace and k-way merges
+// them at shutdown, exactly the way bpsio_report merges per-thread spill
+// files, so the drained trace yields bit-identical B and T to a direct file
+// spill of the same run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "agent/aggregator.hpp"
 #include "agent/forward.hpp"
 #include "common/result.hpp"
-#include "common/sim_time.hpp"
-#include "common/units.hpp"
-#include "trace/frame.hpp"
-
-namespace bpsio::trace {
-class SpillWriter;  // spill_writer.hpp
-}
+#include "ingest/node.hpp"
 
 namespace bpsio::agent {
 
-struct AgentOptions {
-  /// Unix-domain socket path capture clients connect to (required). An
-  /// existing socket file at this path is replaced.
-  std::string socket_path;
-
-  /// TCP port for the plaintext /metrics endpoint, bound on 127.0.0.1.
-  /// 0 picks an ephemeral port (see port_file); -1 disables HTTP entirely.
-  int http_port = 0;
-  /// When non-empty, the bound HTTP port is written here (a line with the
-  /// decimal port) — the standard handshake for tests and scripts that
-  /// start the daemon with an ephemeral port.
-  std::string port_file;
-
-  /// When non-empty, a CSV snapshot (MetricAggregator::csv_snapshot) is
-  /// rewritten atomically at this path every csv_interval.
-  std::string csv_path;
-  SimDuration csv_interval = SimDuration::from_seconds(1);
-
-  /// When non-empty, shutdown writes a single merged, (start, end)-ordered
-  /// v2 .bpstrace here containing every record received over the socket.
-  std::string drain_path;
-  /// Directory for per-connection spool files backing the drain (required
-  /// when drain_path is set; created if missing; spools are deleted after a
-  /// successful drain).
-  std::string spool_dir;
-
+struct AgentOptions : ingest::CommonOptions {
   /// When non-empty, every received frame is also shipped upstream to a
   /// bpsio_collectord at this target ("host:port" = loopback TCP, anything
   /// else = Unix socket path) as tagged frames preserving each capture
-  /// connection's stream identity. See agent/forward.hpp.
+  /// stream's identity. See agent/forward.hpp.
   std::string forward_target;
   /// Tenant id announced to the collector (trace/valid_tenant charset).
   std::string forward_tenant = "default";
@@ -78,83 +39,45 @@ struct AgentOptions {
   /// Records per upstream frame.
   std::size_t forward_batch = 4096;
 
-  /// Sliding-window length for the live metrics.
-  SimDuration window = SimDuration::from_seconds(10);
-  /// Block unit for byte-denominated outputs (BPSIO_CAPTURE_BLOCK_SIZE of
-  /// the traced run).
-  Bytes block_size = kDefaultBlockSize;
-
   /// When > 0, run() returns on its own once this many capture connections
   /// have been accepted and all of them have closed — the deterministic
   /// exit used by tests and CI instead of a signal.
   std::uint64_t expect_clients = 0;
-
-  /// External stop flag (e.g. set by a SIGTERM handler); polled every loop
-  /// iteration. May be null.
-  const std::atomic<bool>* stop = nullptr;
 };
 
-class AgentServer {
+class AgentServer : private ingest::Role {
  public:
   explicit AgentServer(AgentOptions options);
-  ~AgentServer();
 
   AgentServer(const AgentServer&) = delete;
   AgentServer& operator=(const AgentServer&) = delete;
 
   /// Bind the capture socket (and the HTTP socket when enabled), write the
-  /// port file. Call once before run().
+  /// port file, dial the upstream when forwarding. Call once before run().
   Status start();
 
   /// Serve until the stop flag is raised or expect_clients is satisfied,
-  /// then close remaining connections and — when configured — drain. The
-  /// first hard failure (of the drain, never of a single client) surfaces
-  /// here.
-  Status run();
+  /// then close remaining connections and — when configured — drain.
+  Status run() { return node_.run(); }
 
   /// The bound HTTP port (valid after start() when http_port >= 0).
-  int http_port() const { return bound_http_port_; }
+  int http_port() const { return node_.http_port(); }
 
   const MetricAggregator& aggregator() const { return aggregator_; }
-  const TransportStats& transport() const { return transport_; }
+  TransportStats transport() const;
 
  private:
-  struct CaptureConn {
-    int fd = -1;
-    trace::FrameDecoder decoder;
-    std::unique_ptr<trace::SpillWriter> spool;
-    std::string spool_path;
-    std::uint64_t frames_counted = 0;
-    /// Origin-stream id for upstream forwarding (connection serial; stable
-    /// for the connection's lifetime).
-    std::uint64_t stream_id = 0;
-  };
-
-  void accept_capture();
-  void accept_http();
-  /// Returns false when the connection is finished (EOF or error) and has
-  /// been closed.
-  bool service_capture(CaptureConn& conn);
-  void close_capture(CaptureConn& conn, bool record_loss_ok);
-  std::string http_response();
-  void write_csv_snapshot();
-  void sync_forward_stats();
-  Status drain();
+  Sink open_stream(const std::string& tenant, std::uint64_t serial) override;
+  void close_stream(std::uint64_t serial) override;
+  void end_round() override;
+  void finish() override;
+  std::string metrics_text(SimTime now) override;
+  std::string csv_text(SimTime now) override;
 
   AgentOptions options_;
   MetricAggregator aggregator_;
-  TransportStats transport_;
   std::unique_ptr<ForwardLink> forward_;
-  int listen_fd_ = -1;
-  int http_fd_ = -1;
-  int bound_http_port_ = -1;
-  std::vector<CaptureConn> conns_;
-  std::vector<int> conn_fds_;  ///< index-aligned with conns_
-  std::vector<std::string> drained_spools_;
-  std::int64_t last_csv_ns_ = 0;
-  std::uint64_t spool_index_ = 0;
-  std::uint64_t conn_serial_ = 0;
-  bool started_ = false;
+  ingest::Node node_;
 };
 
 }  // namespace bpsio::agent

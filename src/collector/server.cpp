@@ -1,447 +1,57 @@
 #include "collector/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <utility>
-
-#include "common/check.hpp"
-#include "common/net_util.hpp"
-#include "common/poll_loop.hpp"
-#include "common/wallclock.hpp"
-#include "trace/merge.hpp"
-#include "trace/spill_writer.hpp"
 
 namespace bpsio::collector {
 namespace {
 
-constexpr int kPollIntervalMs = 50;
-constexpr std::size_t kRecvChunk = 64 * 1024;
+ingest::NodeOptions node_options(CollectorOptions options) {
+  ingest::NodeOptions node;
+  static_cast<ingest::CommonOptions&>(node) = options;
+  node.name = "collector";
+  node.tcp_port = options.tcp_port;
+  node.tcp_port_file = std::move(options.tcp_port_file);
+  node.drain_tenant_dir = std::move(options.drain_tenant_dir);
+  node.io_threads = std::max<std::size_t>(options.io_threads, 1);
+  node.expect_conns = options.expect_agents;
+  return node;
+}
 
 }  // namespace
 
 CollectorServer::CollectorServer(CollectorOptions options)
-    : options_(std::move(options)),
-      shards_(options_.shards == 0 ? 1 : options_.shards, options_.window,
-              options_.block_size) {}
-
-CollectorServer::~CollectorServer() {
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->finish.store(true, std::memory_order_release);
-      worker->thread.join();
-    }
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    ::unlink(options_.socket_path.c_str());
-  }
-  if (tcp_fd_ >= 0) ::close(tcp_fd_);
-  if (http_fd_ >= 0) ::close(http_fd_);
-}
-
-Status CollectorServer::start() {
-  if (options_.socket_path.empty()) {
-    return Error{Errc::invalid_argument, "collector: socket path is required"};
-  }
-  spooling_ =
-      !options_.drain_path.empty() || !options_.drain_tenant_dir.empty();
-  if (spooling_ && options_.spool_dir.empty()) {
-    return Error{Errc::invalid_argument,
-                 "collector: draining requires a spool directory"};
-  }
-  if (spooling_) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.spool_dir, ec);
-    if (ec) {
-      return Error{Errc::io_error,
-                   "collector: cannot create spool dir " + options_.spool_dir};
-    }
-  }
-  if (options_.io_threads == 0) options_.io_threads = 1;
-
-  listen_fd_ = net::bind_unix_listener(options_.socket_path, 128);
-  if (listen_fd_ < 0) {
-    return Error{Errc::io_error,
-                 "collector: cannot bind/listen on " + options_.socket_path};
-  }
-  if (options_.tcp_port >= 0) {
-    tcp_fd_ = net::bind_loopback_listener(options_.tcp_port, 128,
-                                          &bound_tcp_port_);
-    if (tcp_fd_ < 0) {
-      return Error{Errc::io_error, "collector: cannot bind TCP ingest port " +
-                                       std::to_string(options_.tcp_port)};
-    }
-    if (!options_.tcp_port_file.empty() &&
-        !net::write_file_atomic(options_.tcp_port_file,
-                                std::to_string(bound_tcp_port_) + "\n")) {
-      return Error{Errc::io_error, "collector: cannot write TCP port file " +
-                                       options_.tcp_port_file};
-    }
-  }
-  if (options_.http_port >= 0) {
-    http_fd_ = net::bind_loopback_listener(options_.http_port, 16,
-                                           &bound_http_port_);
-    if (http_fd_ < 0) {
-      return Error{Errc::io_error, "collector: cannot bind HTTP port " +
-                                       std::to_string(options_.http_port)};
-    }
-    if (!options_.port_file.empty() &&
-        !net::write_file_atomic(options_.port_file,
-                                std::to_string(bound_http_port_) + "\n")) {
-      return Error{Errc::io_error,
-                   "collector: cannot write port file " + options_.port_file};
-    }
-  }
-
-  workers_.clear();
-  for (std::size_t i = 0; i < options_.io_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  last_csv_ns_ = monotonic_ns();
-  started_ = true;
-  return {};
-}
+    : shards_(std::max<std::size_t>(options.shards, 1), options.window,
+              options.block_size),
+      node_(node_options(std::move(options)), *this) {}
 
 CollectorTransport CollectorServer::transport() const {
+  const ingest::Counters c = node_.counters();
   CollectorTransport t;
-  t.agents_connected_total =
-      agents_connected_total_.load(std::memory_order_relaxed);
-  t.agents_active = agents_active_.load(std::memory_order_relaxed);
-  t.frames_total = frames_total_.load(std::memory_order_relaxed);
-  t.bad_frames_total = bad_frames_total_.load(std::memory_order_relaxed);
-  t.streams_total = streams_total_.load(std::memory_order_relaxed);
+  t.agents_connected_total = c.connected_total;
+  t.agents_active = c.active;
+  t.frames_total = c.frames_total;
+  t.bad_frames_total = c.bad_frames_total;
+  t.streams_total = c.streams_total;
   return t;
 }
 
-std::string CollectorServer::spool_path(std::uint64_t conn_id,
-                                        std::uint64_t stream_id) const {
-  char name[64];
-  std::snprintf(name, sizeof name, "c%020llu-s%020llu.bpstrace",
-                static_cast<unsigned long long>(conn_id),
-                static_cast<unsigned long long>(stream_id));
-  std::string path = options_.spool_dir;
-  if (!path.empty() && path.back() != '/') path += '/';
-  path += name;
-  return path;
+ingest::Role::Sink CollectorServer::open_stream(const std::string& tenant,
+                                                std::uint64_t /*serial*/) {
+  TenantShards::Tenant* handle = shards_.handle(tenant);
+  return [this, handle](std::span<const trace::IoRecord> frame) {
+    shards_.ingest(handle, frame);
+  };
 }
 
-void CollectorServer::accept_agents(int listener_fd) {
-  for (;;) {
-    const int fd =
-        ::accept4(listener_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN / transient: nothing more to accept now
-    const std::uint64_t id = ++conn_serial_;
-    agents_connected_total_.fetch_add(1, std::memory_order_relaxed);
-    agents_active_.fetch_add(1, std::memory_order_relaxed);
-    Worker& worker = *workers_[id % workers_.size()];
-    MutexLock lock(worker.inbox_mu);
-    worker.inbox.emplace_back(fd, id);
-  }
-}
-
-void CollectorServer::accept_http() {
-  for (;;) {
-    const int fd = ::accept4(http_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) return;
-    net::serve_plain_http(fd, [this] { return metrics_body(); });
-  }
-}
-
-std::string CollectorServer::metrics_body() {
-  shards_.advance_windows(SimTime(monotonic_ns()));
+std::string CollectorServer::metrics_text(SimTime now) {
+  shards_.advance_windows(now);
   return shards_.prometheus_text(transport());
 }
 
-void CollectorServer::write_csv_snapshot() {
-  shards_.advance_windows(SimTime(monotonic_ns()));
-  if (!net::write_file_atomic(options_.csv_path, shards_.csv_snapshot())) {
-    std::fprintf(stderr, "bpsio_collectord: cannot write CSV snapshot %s\n",
-                 options_.csv_path.c_str());
-  }
-}
-
-void CollectorServer::adopt_inbox(Worker& worker) {
-  std::vector<std::pair<int, std::uint64_t>> adopted;
-  {
-    MutexLock lock(worker.inbox_mu);
-    adopted.swap(worker.inbox);
-  }
-  for (const auto& [fd, id] : adopted) {
-    AgentConn conn;
-    conn.fd = fd;
-    conn.conn_id = id;
-    worker.conns.push_back(std::move(conn));
-    worker.conn_fds.push_back(fd);
-  }
-}
-
-bool CollectorServer::service_agent(AgentConn& conn) {
-  char buf[kRecvChunk];
-  bool spool_failed = false;
-  // Each completed frame reaches the tenant shards and the per-stream spool
-  // as one span over the recv buffer (or the decoder's scratch for split
-  // frames) — no per-record copy on this path.
-  const trace::FrameDecoder::TaggedFrameSink sink =
-      [this, &conn, &spool_failed](std::uint64_t stream,
-                                   std::span<const trace::IoRecord> frame) {
-        if (conn.tenant == nullptr) {
-          const std::string& announced = conn.decoder.tenant();
-          conn.tenant = shards_.handle(
-              announced.empty() ? std::string(kDefaultTenant) : announced);
-        }
-        shards_.ingest(conn.tenant, frame);
-        if (!spooling_) return;
-        Spool& spool = conn.spools[stream];
-        if (spool.writer == nullptr) {
-          spool.path = spool_path(conn.conn_id, stream);
-          spool.writer = std::make_unique<trace::SpillWriter>(spool.path);
-          streams_total_.fetch_add(1, std::memory_order_relaxed);
-          if (!spool.writer->ok()) {
-            // The drain promise is broken; keep serving live metrics for
-            // everyone else but drop this connection and fail the final
-            // drain loudly rather than writing an incomplete trace.
-            std::fprintf(stderr,
-                         "bpsio_collectord: cannot open spool %s; dropping "
-                         "connection\n",
-                         spool.path.c_str());
-            spool_error_.store(true, std::memory_order_relaxed);
-            spool_failed = true;
-          }
-        }
-        if (spool.writer->ok()) spool.writer->append(frame);
-      };
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      close_agent(conn, /*record_loss_ok=*/true);
-      return false;
-    }
-    if (n == 0) {  // orderly EOF from the agent's close()
-      close_agent(conn, conn.decoder.pending_bytes() == 0);
-      return false;
-    }
-    const Status fed =
-        conn.decoder.feed(buf, static_cast<std::size_t>(n), sink);
-    frames_total_.fetch_add(conn.decoder.frames_decoded() - conn.frames_counted,
-                            std::memory_order_relaxed);
-    conn.frames_counted = conn.decoder.frames_decoded();
-    if (!fed.ok()) {
-      bad_frames_total_.fetch_add(1, std::memory_order_relaxed);
-      std::fprintf(stderr, "bpsio_collectord: dropping connection: %s\n",
-                   fed.to_string().c_str());
-      close_agent(conn, /*record_loss_ok=*/true);
-      return false;
-    }
-    if (spool_failed) {
-      close_agent(conn, /*record_loss_ok=*/true);
-      return false;
-    }
-  }
-  return true;
-}
-
-void CollectorServer::close_agent(AgentConn& conn, bool record_loss_ok) {
-  if (!record_loss_ok) {
-    // A trailing partial frame means the peer died mid-send. Those records
-    // were never acknowledged as delivered, so the sender re-shipped them
-    // via its spill path — the collector just notes the torn tail.
-    std::fprintf(stderr,
-                 "bpsio_collectord: connection closed mid-frame (%zu bytes "
-                 "discarded; sender re-ships unacknowledged buffers)\n",
-                 conn.decoder.pending_bytes());
-  }
-  const std::string tenant_name =
-      conn.tenant != nullptr ? conn.tenant->name : std::string(kDefaultTenant);
-  for (auto& [stream, spool] : conn.spools) {
-    if (spool.writer == nullptr) continue;
-    const bool was_ok = spool.writer->ok();
-    const Status closed = spool.writer->close();
-    if (!was_ok || !closed.ok()) {
-      std::fprintf(stderr, "bpsio_collectord: spool close failed: %s\n",
-                   closed.to_string().c_str());
-      spool_error_.store(true, std::memory_order_relaxed);
-      continue;
-    }
-    MutexLock lock(spool_mu_);
-    closed_spools_.push_back(SpoolRecord{spool.path, tenant_name});
-  }
-  conn.spools.clear();
-  ::close(conn.fd);
-  conn.fd = -1;
-  agents_active_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void CollectorServer::run_worker(Worker& worker) {
-  PollLoop loop;
-  for (;;) {
-    // Adopt after reading the flag: connections enqueued before finish was
-    // raised still get a final service pass below.
-    const bool finishing = worker.finish.load(std::memory_order_acquire);
-    adopt_inbox(worker);
-    if (finishing) break;
-    const Status polled =
-        loop.round(worker.conn_fds, kPollIntervalMs, [&](std::size_t i) {
-          if (!service_agent(worker.conns[i])) {
-            worker.conns.erase(worker.conns.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-            worker.conn_fds.erase(worker.conn_fds.begin() +
-                                  static_cast<std::ptrdiff_t>(i));
-            return false;
-          }
-          return true;
-        });
-    if (!polled.ok()) {
-      std::fprintf(stderr, "bpsio_collectord: worker poll failed: %s\n",
-                   polled.to_string().c_str());
-      break;
-    }
-  }
-  // Shutdown: drain what already arrived on every connection, then close.
-  for (AgentConn& conn : worker.conns) {
-    if (conn.fd < 0) continue;
-    if (!service_agent(conn)) continue;  // closed itself (EOF/error)
-    close_agent(conn, conn.decoder.pending_bytes() == 0);
-  }
-  worker.conns.clear();
-  worker.conn_fds.clear();
-}
-
-Status CollectorServer::run() {
-  BPSIO_CHECK(started_, "CollectorServer::run() before start()");
-  for (auto& worker : workers_) {
-    Worker* w = worker.get();
-    w->thread = std::thread([this, w] { run_worker(*w); });
-  }
-
-  PollLoop loop;
-  loop.add_listener(listen_fd_, [this] { accept_agents(listen_fd_); });
-  if (tcp_fd_ >= 0) {
-    loop.add_listener(tcp_fd_, [this] { accept_agents(tcp_fd_); });
-  }
-  if (http_fd_ >= 0) loop.add_listener(http_fd_, [this] { accept_http(); });
-
-  Status failure;
-  for (;;) {
-    if (options_.stop != nullptr &&
-        options_.stop->load(std::memory_order_relaxed)) {
-      break;
-    }
-    if (options_.expect_agents > 0 &&
-        agents_connected_total_.load(std::memory_order_relaxed) >=
-            options_.expect_agents &&
-        agents_active_.load(std::memory_order_relaxed) == 0) {
-      break;
-    }
-    const Status polled = loop.round({}, kPollIntervalMs,
-                                     [](std::size_t) { return true; });
-    if (!polled.ok()) {
-      failure = polled;
-      break;
-    }
-    if (!options_.csv_path.empty()) {
-      const std::int64_t now = monotonic_ns();
-      if (now - last_csv_ns_ >= options_.csv_interval.ns()) {
-        write_csv_snapshot();
-        last_csv_ns_ = now;
-      }
-    }
-  }
-
-  // Shutdown: stop accepting, then let every worker run its final service
-  // pass and close its connections before joining.
-  ::close(listen_fd_);
-  ::unlink(options_.socket_path.c_str());
-  listen_fd_ = -1;
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
-  for (auto& worker : workers_) {
-    worker->finish.store(true, std::memory_order_release);
-  }
-  for (auto& worker : workers_) worker->thread.join();
-  // Close any accepted-but-never-adopted fds (raced with shutdown).
-  for (auto& worker : workers_) {
-    MutexLock lock(worker->inbox_mu);
-    for (const auto& [fd, id] : worker->inbox) {
-      ::close(fd);
-      agents_active_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    worker->inbox.clear();
-  }
-  if (!options_.csv_path.empty()) write_csv_snapshot();
-
-  if (!failure.ok()) return failure;
-  if (spool_error_.load(std::memory_order_relaxed)) {
-    return Error{Errc::io_error,
-                 "collector: spool failure during the run; refusing to write "
-                 "an incomplete drain"};
-  }
-  if (spooling_) return drain();
-  return {};
-}
-
-Status CollectorServer::drain() {
-  // Workers are joined; closed_spools_ is complete. Each spool is one
-  // (connection, origin stream)'s start-ordered records, so the k-way merge
-  // needs no sort — the same contract as bpsio_agentd's drain and the
-  // spill-file pipeline.
-  std::vector<SpoolRecord> spools;
-  {
-    MutexLock lock(spool_mu_);
-    spools.swap(closed_spools_);
-  }
-  std::sort(spools.begin(), spools.end(),
-            [](const SpoolRecord& a, const SpoolRecord& b) {
-              return a.path < b.path;
-            });
-
-  if (!options_.drain_path.empty()) {
-    std::vector<std::string> paths;
-    paths.reserve(spools.size());
-    for (const SpoolRecord& s : spools) paths.push_back(s.path);
-    if (const Status merged =
-            trace::merge_trace_files(std::move(paths), options_.drain_path);
-        !merged.ok()) {
-      return Error{Errc::io_error,
-                   "collector: drain failed: " + merged.to_string()};
-    }
-  }
-  if (!options_.drain_tenant_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.drain_tenant_dir, ec);
-    if (ec) {
-      return Error{Errc::io_error, "collector: cannot create drain dir " +
-                                       options_.drain_tenant_dir};
-    }
-    std::map<std::string, std::vector<std::string>> by_tenant;
-    for (const SpoolRecord& s : spools) by_tenant[s.tenant].push_back(s.path);
-    for (auto& [tenant, paths] : by_tenant) {
-      std::string out = options_.drain_tenant_dir;
-      if (!out.empty() && out.back() != '/') out += '/';
-      out += "tenant-" + tenant + ".bpstrace";
-      if (const Status merged = trace::merge_trace_files(paths, out);
-          !merged.ok()) {
-        return Error{Errc::io_error, "collector: tenant drain failed for " +
-                                         tenant + ": " + merged.to_string()};
-      }
-    }
-  }
-  for (const SpoolRecord& s : spools) {
-    std::error_code ec;
-    std::filesystem::remove(s.path, ec);
-  }
-  std::error_code ec;
-  std::filesystem::remove(options_.spool_dir, ec);  // only when now empty
-  return {};
+std::string CollectorServer::csv_text(SimTime now) {
+  shards_.advance_windows(now);
+  return shards_.csv_snapshot();
 }
 
 }  // namespace bpsio::collector

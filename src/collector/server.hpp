@@ -1,68 +1,34 @@
-// bpsio_collectord's engine: the fleet-scale tier above bpsio_agentd.
+// bpsio_collectord's server: the collector role on the shared ingest engine
+// (ingest/node.hpp) — the fleet-scale tier above bpsio_agentd.
 //
-// One collector ingests BPSF/BPSG frame streams from many agents — either
-// capture clients pointed straight at it, or bpsio_agentd forwarders
-// shipping their downstream traffic upstream (--forward). Where the agent
-// daemon is a single poll() loop, the collector splits the work across
-// threads:
+// One collector ingests BPSF/BPSG frame streams from many agents — capture
+// clients pointed straight at it, or bpsio_agentd forwarders shipping their
+// downstream traffic upstream (--forward). The engine accepts on the main
+// thread and services connections on --io-threads workers; this role files
+// each decoded span under its connection's tenant in the sharded
+// TenantShards (a connection's hello names the tenant; hello-less
+// connections land in "default"). The tenant handle is resolved once per
+// (connection, origin stream) and cached in that stream's sink.
 //
-//   * the MAIN thread owns the listeners (Unix socket, optional loopback
-//     TCP, HTTP /metrics) plus the CSV ticker. Accepted agent connections
-//     are handed to an I/O worker round-robin via a tiny mutex-protected
-//     inbox; workers notice within one 50 ms poll round, so no wakeup pipe
-//     is needed;
-//   * each I/O WORKER thread owns its connections outright — decoder, spool
-//     files, tenant handle — and runs its own common/poll_loop.hpp round.
-//     Nothing per-connection is ever shared, so the only cross-thread state
-//     is the sharded TenantShards (span-batched, finely locked) and a few
-//     transport atomics.
-//
-// Tenancy: a connection's first frame may be a hello ("BPSH") naming its
-// tenant; hello-less connections land in "default". The tenant handle is
-// resolved once, at the first data frame, and cached on the connection.
-//
-// Per-connection failure is isolated exactly like the agent daemon: a
-// malformed frame poisons that connection's decoder and drops that
-// connection only; a peer dying mid-frame discards only the torn tail
-// (unacknowledged by contract — the sender re-ships via its spill path).
-//
-// Drain: with --drain, every (connection, origin-stream) pair spools to its
-// own .bpstrace — each start-ordered by the framing contract — and
-// shutdown k-way merges all spools (trace::merge_trace_files) into one
-// sorted v2 trace with bit-identical B and T to a direct file spill of the
-// same records. --drain-tenant-dir additionally writes one merged trace per
-// tenant.
+// Drain: with --drain, the engine's per-(connection, origin stream) spools
+// are k-way merged at shutdown into one sorted v2 trace with bit-identical
+// B and T to a direct file spill of the same records; --drain-tenant-dir
+// additionally writes one merged trace per tenant.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "collector/tenant_shards.hpp"
-#include "common/mutex.hpp"
 #include "common/result.hpp"
-#include "common/sim_time.hpp"
-#include "common/units.hpp"
-#include "trace/frame.hpp"
-
-namespace bpsio::trace {
-class SpillWriter;  // spill_writer.hpp
-}
+#include "ingest/node.hpp"
 
 namespace bpsio::collector {
 
 /// Tenant label for connections that never sent a hello frame.
-inline constexpr const char* kDefaultTenant = "default";
+inline constexpr const char* kDefaultTenant = ingest::kDefaultTenant;
 
-struct CollectorOptions {
-  /// Unix-domain socket path agents connect to (required). An existing
-  /// socket file at this path is replaced.
-  std::string socket_path;
-
+struct CollectorOptions : ingest::CommonOptions {
   /// TCP ingest port for agents on other hosts' loopback-forwarded tunnels
   /// (bound on 127.0.0.1 — fleet transport security is out of scope).
   /// 0 picks an ephemeral port (see tcp_port_file); -1 disables TCP ingest.
@@ -70,34 +36,12 @@ struct CollectorOptions {
   /// When non-empty, the bound TCP ingest port is written here.
   std::string tcp_port_file;
 
-  /// Loopback /metrics port; 0 = ephemeral (see port_file), -1 = no HTTP.
-  int http_port = 0;
-  /// When non-empty, the bound HTTP port is written here.
-  std::string port_file;
-
-  /// When non-empty, a per-tenant CSV snapshot (TenantShards::csv_snapshot)
-  /// is rewritten atomically at this path every csv_interval.
-  std::string csv_path;
-  SimDuration csv_interval = SimDuration::from_seconds(1);
-
-  /// When non-empty, shutdown writes a single merged, (start, end)-ordered
-  /// v2 .bpstrace here containing every record received.
-  std::string drain_path;
-  /// Directory for per-stream spool files backing the drains (required when
-  /// drain_path or drain_tenant_dir is set; created if missing; spools are
-  /// deleted after a successful drain).
-  std::string spool_dir;
   /// When non-empty, shutdown additionally writes one merged trace per
   /// tenant at <dir>/tenant-<name>.bpstrace (tenant ids are filename-safe
-  /// by charset).
+  /// by charset). Spools under spool_dir back it like the drain.
   std::string drain_tenant_dir;
 
-  /// Sliding-window length for the live per-tenant metrics.
-  SimDuration window = SimDuration::from_seconds(10);
-  /// Block unit for byte-denominated outputs.
-  Bytes block_size = kDefaultBlockSize;
-
-  /// I/O worker threads servicing agent connections.
+  /// I/O worker threads servicing agent connections (at least 1).
   std::size_t io_threads = 2;
   /// Tenant shard count for TenantShards.
   std::size_t shards = 8;
@@ -105,102 +49,39 @@ struct CollectorOptions {
   /// When > 0, run() returns on its own once this many agent connections
   /// have been accepted and all of them have closed.
   std::uint64_t expect_agents = 0;
-
-  /// External stop flag (e.g. set by a SIGTERM handler); polled every loop
-  /// iteration. May be null.
-  const std::atomic<bool>* stop = nullptr;
 };
 
-class CollectorServer {
+class CollectorServer : private ingest::Role {
  public:
   explicit CollectorServer(CollectorOptions options);
-  ~CollectorServer();
 
   CollectorServer(const CollectorServer&) = delete;
   CollectorServer& operator=(const CollectorServer&) = delete;
 
   /// Bind the listeners, write the port files, create the spool directory.
   /// Call once before run().
-  Status start();
+  Status start() { return node_.start(); }
 
   /// Serve until the stop flag is raised or expect_agents is satisfied,
   /// then close remaining connections, join the workers, and — when
   /// configured — drain.
-  Status run();
+  Status run() { return node_.run(); }
 
   /// The bound HTTP port (valid after start() when http_port >= 0).
-  int http_port() const { return bound_http_port_; }
+  int http_port() const { return node_.http_port(); }
   /// The bound TCP ingest port (valid after start() when tcp_port >= 0).
-  int tcp_port() const { return bound_tcp_port_; }
+  int tcp_port() const { return node_.tcp_port(); }
 
   const TenantShards& shards() const { return shards_; }
   CollectorTransport transport() const;
 
  private:
-  struct Spool {
-    std::unique_ptr<trace::SpillWriter> writer;
-    std::string path;
-  };
+  Sink open_stream(const std::string& tenant, std::uint64_t serial) override;
+  std::string metrics_text(SimTime now) override;
+  std::string csv_text(SimTime now) override;
 
-  struct AgentConn {
-    int fd = -1;
-    std::uint64_t conn_id = 0;
-    trace::FrameDecoder decoder;
-    TenantShards::Tenant* tenant = nullptr;
-    std::uint64_t frames_counted = 0;
-    std::map<std::uint64_t, Spool> spools;  ///< origin stream id -> spool
-  };
-
-  /// One I/O worker thread's world. The worker thread owns conns/conn_fds
-  /// exclusively; only the inbox crosses threads.
-  struct Worker {
-    Mutex inbox_mu;
-    std::vector<std::pair<int, std::uint64_t>> inbox  // (fd, conn id)
-        BPSIO_GUARDED_BY(inbox_mu);
-    std::atomic<bool> finish{false};
-    std::vector<AgentConn> conns;
-    std::vector<int> conn_fds;  ///< index-aligned with conns
-    std::thread thread;
-  };
-
-  struct SpoolRecord {
-    std::string path;
-    std::string tenant;
-  };
-
-  void run_worker(Worker& worker);
-  void adopt_inbox(Worker& worker);
-  /// Returns false when the connection is finished (EOF or error) and has
-  /// been closed.
-  bool service_agent(AgentConn& conn);
-  void close_agent(AgentConn& conn, bool record_loss_ok);
-  void accept_agents(int listener_fd);
-  void accept_http();
-  std::string spool_path(std::uint64_t conn_id, std::uint64_t stream_id) const;
-  std::string metrics_body();
-  void write_csv_snapshot();
-  Status drain();
-
-  CollectorOptions options_;
   TenantShards shards_;
-  int listen_fd_ = -1;
-  int tcp_fd_ = -1;
-  int http_fd_ = -1;
-  int bound_tcp_port_ = -1;
-  int bound_http_port_ = -1;
-  bool spooling_ = false;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::uint64_t conn_serial_ = 0;  ///< main thread only (accept path)
-  std::atomic<std::uint64_t> agents_connected_total_{0};
-  std::atomic<std::uint64_t> agents_active_{0};
-  std::atomic<std::uint64_t> frames_total_{0};
-  std::atomic<std::uint64_t> bad_frames_total_{0};
-  std::atomic<std::uint64_t> streams_total_{0};
-  std::atomic<bool> spool_error_{false};
-  Mutex spool_mu_;
-  std::vector<SpoolRecord> closed_spools_ BPSIO_GUARDED_BY(spool_mu_);
-  std::int64_t last_csv_ns_ = 0;
-  bool started_ = false;
+  ingest::Node node_;
 };
 
 }  // namespace bpsio::collector

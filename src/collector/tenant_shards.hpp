@@ -34,6 +34,7 @@
 #include "common/mutex.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "ingest/exposition.hpp"
 #include "metrics/online.hpp"
 #include "trace/io_record.hpp"
 
@@ -53,10 +54,10 @@ struct CollectorTransport {
 class TenantShards {
  public:
   /// One tenant's slot: stable address for the lifetime of the TenantShards
-  /// (connections cache the handle after their hello instead of re-hashing
-  /// the tenant name on every frame). All mutable fields are guarded by the
-  /// owning shard's mutex.
-  struct Tenant {
+  /// (each stream's sink caches the handle instead of re-hashing the tenant
+  /// name on every frame). All mutable fields — the lifetime
+  /// counters and the window — are guarded by the owning shard's mutex.
+  struct Tenant : ingest::LifetimeCounters {
     explicit Tenant(std::string tenant_name, std::size_t shard_index,
                     SimDuration window_length)
         : name(std::move(tenant_name)),
@@ -66,11 +67,6 @@ class TenantShards {
     const std::string name;
     const std::size_t shard;
     metrics::SlidingWindowMetrics window;
-    std::uint64_t records_total = 0;
-    std::uint64_t blocks_total = 0;
-    std::uint64_t failed_total = 0;
-    std::uint64_t sync_total = 0;
-    std::uint64_t invalid_total = 0;
   };
 
   TenantShards(std::size_t shard_count, SimDuration window, Bytes block_size);
@@ -113,41 +109,25 @@ class TenantShards {
     std::map<std::string, std::unique_ptr<Tenant>> tenants;
   };
 
-  /// One tenant's figures, copied out under the shard lock so formatting
-  /// runs lock-free.
+  /// One tenant's (or the fleet's) state, copied out under its lock so the
+  /// window accessors and the formatting run lock-free.
   struct TenantSnapshot {
     std::string name;
-    std::uint64_t records_total;
-    std::uint64_t blocks_total;
-    std::uint64_t failed_total;
-    std::uint64_t sync_total;
-    std::uint64_t invalid_total;
-    std::uint64_t window_records;
-    std::uint64_t window_blocks;
-    double window_io_s;
-    double bps;
-    double iops;
-    double bw_bps;
-    double arpt_s;
+    ingest::LifetimeCounters totals;
+    metrics::SlidingWindowMetrics window;
   };
 
   Shard& shard_for(const std::string& name);
+  /// Every tenant, sorted by name.
   std::vector<TenantSnapshot> snapshot() const;
   TenantSnapshot snapshot_global() const;
-  static void fill_window_figures(TenantSnapshot& snap,
-                                  const metrics::SlidingWindowMetrics& w,
-                                  Bytes block_size);
 
   SimDuration window_;
   Bytes block_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
   mutable Mutex global_mu_;
   metrics::SlidingWindowMetrics global_ BPSIO_GUARDED_BY(global_mu_);
-  std::uint64_t global_records_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_blocks_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_failed_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_sync_ BPSIO_GUARDED_BY(global_mu_) = 0;
-  std::uint64_t global_invalid_ BPSIO_GUARDED_BY(global_mu_) = 0;
+  ingest::LifetimeCounters global_totals_ BPSIO_GUARDED_BY(global_mu_);
 };
 
 }  // namespace bpsio::collector

@@ -1,8 +1,9 @@
-// Small socket helpers shared by the daemon tier (bpsio_agentd,
-// bpsio_collectord): full blocking sends, atomic snapshot files, listener
-// setup, and the one-shot plaintext HTTP exchange both daemons use for
-// /metrics. Nothing here owns an event loop — see common/poll_loop.hpp for
-// that half of the shared daemon plumbing.
+// Small socket helpers for the daemon tier: listener setup, atomic
+// snapshot files and the one-shot plaintext HTTP exchange used by the
+// ingest engine (ingest/node.hpp) behind both daemons, plus the full
+// blocking sends and the stream dialer the agent's upstream ForwardLink
+// uses. Nothing here owns an event loop — see common/poll_loop.hpp for
+// that half of the daemon plumbing.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,12 @@
-// Shared poll()-round bookkeeping for the socket daemons (bpsio_agentd's
-// AgentServer, bpsio_collectord's I/O workers).
+// poll()-round bookkeeping for the ingest engine (ingest/node.hpp), which
+// both socket daemons run on: its main loop and each of its I/O workers
+// drive one PollLoop.
 //
-// Both daemons run the same loop shape: a few listener fds whose readiness
-// means "accept / answer now", plus a growing-and-shrinking set of
-// connection fds serviced by index. The fiddly part — and the part that has
-// already bitten once — is that servicing mutates the fd set mid-round:
+// Every loop has the same shape: a few listener fds whose readiness means
+// "accept / answer now" (none on a worker), plus a growing-and-shrinking
+// set of connection fds serviced by index. The fiddly part — and the part
+// that has already bitten once — is that servicing mutates the fd set
+// mid-round:
 //
 //  * a listener callback may ACCEPT new connections, so the revents scan
 //    must be bounded by the snapshot taken when poll() was armed, never by

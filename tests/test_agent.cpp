@@ -26,7 +26,9 @@
 #include "agent/aggregator.hpp"
 #include "common/rng.hpp"
 #include "agent/server.hpp"
+#include "metrics/pipeline.hpp"
 #include "trace/frame.hpp"
+#include "trace/mapped_source.hpp"
 #include "trace/serialize.hpp"
 
 namespace bpsio::agent {
@@ -400,6 +402,98 @@ TEST(AgentServer, BadFrameDropsTheConnectionNotTheDaemon) {
   EXPECT_EQ(server.transport().bad_frames_total, 1u);
   EXPECT_EQ(server.aggregator().records_total(), 1u);
   EXPECT_EQ(server.aggregator().blocks_total(), 4u);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AgentServer, MultiplexedStreamsDrainInRecordOrder) {
+  // One connection carrying tagged frames of two interleaved origin streams
+  // — what any --forward sender emits. Each stream is start-ordered, the
+  // connection as a whole is not; the drain must still come out in
+  // (start, end) order and pass bpsio_report's streaming pipeline.
+  const std::filesystem::path dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+
+  AgentOptions options;
+  options.socket_path = (dir / "agent.sock").string();
+  options.http_port = -1;
+  options.drain_path = (dir / "drain.bpstrace").string();
+  options.spool_dir = (dir / "spool.d").string();
+  options.expect_clients = 1;
+
+  AgentServer server(options);
+  ASSERT_TRUE(server.start().ok());
+  Status run_status;
+  std::thread serving([&] { run_status = server.run(); });
+
+  const auto at = [](std::int64_t start, std::uint32_t pid) {
+    return make_record(pid, 4, SimTime(start), SimTime(start + 10));
+  };
+  std::vector<char> wire;
+  trace::encode_tagged_frame(1, std::vector<IoRecord>{at(0, 1), at(100, 1)},
+                             wire);
+  trace::encode_tagged_frame(2, std::vector<IoRecord>{at(50, 2), at(150, 2)},
+                             wire);
+  trace::encode_tagged_frame(1, std::vector<IoRecord>{at(200, 1)}, wire);
+  const int client = connect_unix(options.socket_path);
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(send_all(client, wire));
+  ::close(client);
+  serving.join();
+  ASSERT_TRUE(run_status.ok()) << run_status.to_string();
+
+  const auto drained = trace::load_binary(options.drain_path);
+  ASSERT_TRUE(drained.ok()) << drained.error().to_string();
+  std::vector<std::int64_t> starts;
+  for (const IoRecord& r : *drained) starts.push_back(r.start_ns);
+  EXPECT_EQ(starts, (std::vector<std::int64_t>{0, 50, 100, 150, 200}));
+
+  auto source = trace::open_trace_source(options.drain_path);
+  ASSERT_TRUE(source->status().ok()) << source->status().to_string();
+  const auto sample = metrics::measure_stream(*source, 0, SimDuration(0));
+  ASSERT_TRUE(sample.ok()) << sample.error().to_string();
+  EXPECT_EQ(sample->app_blocks, 20u);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AgentServer, SpoolOpenFailureDropsTheConnectionAndFailsTheDrain) {
+  const std::filesystem::path dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+
+  AgentOptions options;
+  options.socket_path = (dir / "agent.sock").string();
+  options.http_port = -1;
+  options.drain_path = (dir / "drain.bpstrace").string();
+  options.spool_dir = (dir / "spool.d").string();
+  options.expect_clients = 1;
+  // A directory squatting on the first (connection 1, stream 0) spool path
+  // makes that spool's open fail.
+  ASSERT_TRUE(std::filesystem::create_directories(
+      std::filesystem::path(options.spool_dir) /
+      "c00000000000000000001-s00000000000000000000.bpstrace"));
+
+  AgentServer server(options);
+  ASSERT_TRUE(server.start().ok());
+  Status run_status;
+  std::thread serving([&] { run_status = server.run(); });
+
+  const int client = connect_unix(options.socket_path);
+  ASSERT_GE(client, 0);
+  std::vector<char> wire;
+  trace::encode_frame(
+      std::vector<IoRecord>{make_record(9, 4, SimTime(0), SimTime(1000))},
+      wire);
+  ASSERT_TRUE(send_all(client, wire));
+  ::close(client);
+  serving.join();
+
+  EXPECT_FALSE(run_status.ok());
+  EXPECT_NE(run_status.to_string().find(
+                "refusing to write an incomplete drain"),
+            std::string::npos)
+      << run_status.to_string();
+  EXPECT_FALSE(std::filesystem::exists(options.drain_path));
 
   std::filesystem::remove_all(dir);
 }

@@ -571,5 +571,48 @@ TEST(CollectorServer, AgentForwardComposesIntoTenantMetrics) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CollectorServer, SpoolOpenFailureDropsTheConnectionAndFailsTheDrain) {
+  const std::filesystem::path dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+
+  CollectorOptions options;
+  options.socket_path = (dir / "collector.sock").string();
+  options.http_port = -1;
+  options.drain_path = (dir / "drain.bpstrace").string();
+  options.spool_dir = (dir / "spool.d").string();
+  options.io_threads = 1;
+  options.expect_agents = 1;
+  // A directory squatting on the first (connection 1, stream 3) spool path
+  // makes that spool's open fail.
+  ASSERT_TRUE(std::filesystem::create_directories(
+      std::filesystem::path(options.spool_dir) /
+      "c00000000000000000001-s00000000000000000003.bpstrace"));
+
+  CollectorServer server(options);
+  ASSERT_TRUE(server.start().ok());
+  Status run_status;
+  std::thread serving([&] { run_status = server.run(); });
+
+  const int fd = connect_unix(options.socket_path);
+  ASSERT_GE(fd, 0);
+  std::vector<char> wire;
+  trace::encode_hello("alpha", wire);
+  trace::encode_tagged_frame(
+      3, std::vector<IoRecord>{make_record(7, 4, SimTime(0), SimTime(500))},
+      wire);
+  ASSERT_TRUE(send_all(fd, wire));
+  ::close(fd);
+  serving.join();
+
+  EXPECT_FALSE(run_status.ok());
+  EXPECT_NE(run_status.to_string().find(
+                "refusing to write an incomplete drain"),
+            std::string::npos)
+      << run_status.to_string();
+  EXPECT_FALSE(std::filesystem::exists(options.drain_path));
+
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace bpsio::collector

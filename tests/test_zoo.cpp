@@ -8,7 +8,7 @@
 //      the real-I/O path, asserted here for the simulator path.
 //   3. A closed-loop replay of a zoo run's trace reproduces B and process
 //      count exactly and T within tolerance (the differential-replay check
-//      of DESIGN.md §15).
+//      of DESIGN.md §14).
 #include <gtest/gtest.h>
 
 #include "core/presets.hpp"
