@@ -1,13 +1,20 @@
-// Harness bench: SlidingWindowMetrics ingest — the live daemon's per-record
-// hot path (incremental windowed interval-union + expiry heap).
+// Harness bench: SlidingWindowMetrics ingest — the live daemons' window
+// hot path (incremental windowed interval-union + end-ordered expiry).
 //
-// Pre-generates a shuffled-arrival record stream once (the daemon sees
-// frames from many clients interleaved, so arrival order is adversarial by
-// design); each sample ingests the whole stream into a fresh
-// SlidingWindowMetrics. Emits BENCH_window_ingest.json; throughput is
-// ingested records/sec.
+// Two cases, both ingesting a pre-generated stream into a fresh
+// SlidingWindowMetrics per sample; throughput is ingested records/sec.
+//
+//  * window_ingest: shuffled arrival, one add(record) per record — the
+//    adversarial order, where expiry runs through the per-record heap.
+//    Window length from --window. Emits BENCH_window_ingest.json.
+//  * window_ingest_frames: the shape a daemon sees — per-thread streams
+//    monotone in start and end, cut into 4096-record frames that
+//    interleave, each frame one add(span). The window is an eighth of the
+//    stream's span, so most of the run is steady-state eviction of whole
+//    end-ordered runs. Emits BENCH_window_ingest_frames.json.
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
@@ -37,19 +44,65 @@ std::vector<trace::IoRecord> shuffled_stream(std::uint64_t n,
   return records;
 }
 
+constexpr std::size_t kFrameRecords = 4096;
+constexpr std::size_t kStreams = 4;
+
+/// Frames of kStreams per-thread streams, interleaved round-robin; every
+/// stream is monotone in start and end. Returns the records frame after
+/// frame, each frame kFrameRecords long (the last one of a stream may be
+/// shorter), and stores the frame boundaries in `frames`.
+std::vector<trace::IoRecord> framed_stream(
+    std::uint64_t n, std::uint64_t seed,
+    std::vector<std::span<const trace::IoRecord>>* frames) {
+  Rng rng(seed);
+  std::vector<std::vector<trace::IoRecord>> streams(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    std::int64_t start = static_cast<std::int64_t>(s) * 100;
+    std::int64_t end = start;
+    for (std::uint64_t i = s; i < n; i += kStreams) {
+      start += static_cast<std::int64_t>(rng.uniform_u64(2'000)) + 1;
+      end = std::max(end,
+                     start + static_cast<std::int64_t>(rng.uniform_u64(1'500)));
+      streams[s].push_back(trace::make_record(
+          static_cast<std::uint32_t>(s + 1), rng.uniform_u64(64) + 1,
+          SimTime(start), SimTime(end)));
+    }
+  }
+  std::vector<trace::IoRecord> records;
+  records.reserve(n);
+  std::vector<std::size_t> bounds = {0};
+  for (std::size_t at = 0; records.size() < n; at += kFrameRecords) {
+    for (const auto& stream : streams) {
+      if (at >= stream.size()) continue;
+      const std::size_t len = std::min(kFrameRecords, stream.size() - at);
+      records.insert(records.end(),
+                     stream.begin() + static_cast<std::ptrdiff_t>(at),
+                     stream.begin() + static_cast<std::ptrdiff_t>(at + len));
+      bounds.push_back(records.size());
+    }
+  }
+  frames->clear();
+  for (std::size_t f = 1; f < bounds.size(); ++f) {
+    frames->emplace_back(records.data() + bounds[f - 1],
+                         bounds[f] - bounds[f - 1]);
+  }
+  return records;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::CommonBenchArgs args;
   double window_ms = 10.0;
   cli::ArgParser parser("bench_window_ingest",
-                        "SlidingWindowMetrics ingest throughput over a "
-                        "shuffled-arrival record stream, with a statistical "
-                        "harness.");
+                        "SlidingWindowMetrics ingest throughput, with a "
+                        "statistical harness: a shuffled-arrival stream "
+                        "added record by record, then interleaved "
+                        "end-ordered frames added span by span.");
   bench::register_common_flags(parser, &args, /*with_threads=*/false);
   parser.add_positive_double("--window", &window_ms, "MS",
-                             "sliding window length in milliseconds "
-                             "(default 10)");
+                             "sliding window length of the shuffled case "
+                             "in milliseconds (default 10)");
   std::vector<std::string> positionals;
   switch (parser.parse(argc, argv, positionals)) {
     case cli::ArgParser::Outcome::help: return 0;
@@ -65,16 +118,49 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(n), window_ms,
               static_cast<unsigned long long>(args.seed));
 
-  const auto cfg = bench::make_harness_config("window_ingest", args);
-  const bench::BenchHarness harness(cfg);
-  const auto result = harness.run([&] {
-    metrics::SlidingWindowMetrics live(window);
-    for (const auto& record : records) live.add(record);
-    BPSIO_CHECK(live.any(), "ingest produced no live window state");
-    return static_cast<double>(records.size());
-  });
-  return bench::report_result(args, cfg, result,
-                              {{"records", std::to_string(n)},
-                               {"window_ms", std::to_string(window_ms)},
-                               {"profile", args.profile}});
+  int rc = 0;
+  {
+    const auto cfg = bench::make_harness_config("window_ingest", args);
+    const bench::BenchHarness harness(cfg);
+    const auto result = harness.run([&] {
+      metrics::SlidingWindowMetrics live(window);
+      for (const auto& record : records) live.add(record);
+      BPSIO_CHECK(live.any(), "ingest produced no live window state");
+      return static_cast<double>(records.size());
+    });
+    rc |= bench::report_result(args, cfg, result,
+                               {{"records", std::to_string(n)},
+                                {"window_ms", std::to_string(window_ms)},
+                                {"profile", args.profile}});
+  }
+
+  std::vector<std::span<const trace::IoRecord>> frames;
+  const auto framed =
+      framed_stream(n, static_cast<std::uint64_t>(args.seed), &frames);
+  std::int64_t last_end = 0;
+  for (const auto& record : framed) last_end = std::max(last_end, record.end_ns);
+  const SimDuration frame_window(std::max<std::int64_t>(last_end / 8, 1));
+  std::printf("=== window ingest: %llu records in %zu interleaved frames of "
+              "%zu, window=%.3f ms (1/8 of the span) ===\n",
+              static_cast<unsigned long long>(framed.size()), frames.size(),
+              kFrameRecords, frame_window.seconds() * 1e3);
+  {
+    const auto cfg = bench::make_harness_config("window_ingest_frames", args);
+    const bench::BenchHarness harness(cfg);
+    const auto result = harness.run([&] {
+      metrics::SlidingWindowMetrics live(frame_window);
+      for (const auto& frame : frames) live.add(frame);
+      BPSIO_CHECK(live.any() && live.accesses() < framed.size(),
+                  "framed ingest evicted nothing");
+      return static_cast<double>(framed.size());
+    });
+    rc |= bench::report_result(
+        args, cfg, result,
+        {{"records", std::to_string(framed.size())},
+         {"frame_records", std::to_string(kFrameRecords)},
+         {"streams", std::to_string(kStreams)},
+         {"window_ns", std::to_string(frame_window.ns())},
+         {"profile", args.profile}});
+  }
+  return rc;
 }

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -18,6 +20,20 @@ std::string resolved_git_sha() {
     if (const char* sha = std::getenv(var); sha != nullptr && sha[0] != '\0') {
       return sha;
     }
+  }
+  return "unknown";
+}
+
+/// The CPU model the record was measured on ("unknown" off Linux).
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t first = line.find_first_not_of(" \t", colon + 1);
+    if (first != std::string::npos) return line.substr(first);
   }
   return "unknown";
 }
@@ -93,6 +109,8 @@ BenchRecord BenchResult::to_record(
   r.lag1_autocorr = est.lag1;
   r.ess = est.ess;
   r.config = std::move(extra);
+  r.config.emplace("build_type", BPSIO_BENCH_BUILD_TYPE);
+  r.config.emplace("cpu", cpu_model());
   if (cfg.simulate_slowdown != 1.0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%g", cfg.simulate_slowdown);

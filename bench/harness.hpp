@@ -54,7 +54,8 @@ struct BenchResult {
   std::vector<double> samples;         ///< all collected throughput samples
 
   /// The JSON-ready record (git SHA resolved from $BPSIO_GIT_SHA /
-  /// $GITHUB_SHA; `extra` lands in the record's config map).
+  /// $GITHUB_SHA; `extra` lands in the record's config map, next to the
+  /// build type and the CPU model).
   BenchRecord to_record(const HarnessConfig& cfg,
                         std::map<std::string, std::string> extra = {}) const;
 };

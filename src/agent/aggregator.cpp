@@ -88,9 +88,10 @@ std::string MetricAggregator::prometheus_text(
   ingest::family(out, "bpsio_window_bps", "gauge",
                  "Windowed BPS (blocks per second of busy time) per pid; "
                  "pid=\"all\" is the global stream.");
-  ingest::window_gauges(out, "pid", "all", {global_, block_size_});
+  ingest::window_gauges(out, "pid", "all", {global_.totals(), block_size_});
   for (const auto& [pid, w] : per_pid_) {
-    ingest::window_gauges(out, "pid", std::to_string(pid), {w, block_size_});
+    ingest::window_gauges(out, "pid", std::to_string(pid),
+                          {w.totals(), block_size_});
   }
   return out;
 }
@@ -102,7 +103,7 @@ std::string MetricAggregator::csv_snapshot() const {
   const auto row = [&](const std::string& label,
                        const metrics::SlidingWindowMetrics& w) {
     out += label;
-    ingest::csv_cells(out, {w, block_size_});
+    ingest::csv_cells(out, {w.totals(), block_size_});
     out += "\n";
   };
   row("all", global_);

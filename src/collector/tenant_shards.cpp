@@ -92,15 +92,17 @@ std::uint64_t TenantShards::tenants_seen() const {
 }
 
 std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
-  // Copy the counters and the window OBJECT out under each shard lock; the
-  // metric accessors run on the copies after the lock is dropped. The
-  // critical sections make no function calls at all, which keeps them tiny
-  // and keeps the lock scopes leaves of the static call graph.
+  // Copy the counters and the fixed-size window totals out under each shard
+  // lock — plain field copies, whatever the window holds; the figures are
+  // computed from the copies after the lock is dropped. The critical
+  // sections call nothing in bpsio beyond the inline totals() accessor,
+  // which keeps them tiny and keeps the lock scopes leaves of the static
+  // call graph.
   std::vector<TenantSnapshot> out;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
     for (const auto& [name, tenant] : shard->tenants) {
-      out.push_back(TenantSnapshot{name, *tenant, tenant->window});
+      out.push_back(TenantSnapshot{name, *tenant, tenant->window.totals()});
     }
   }
   std::sort(out.begin(), out.end(),
@@ -111,10 +113,10 @@ std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
 }
 
 TenantShards::TenantSnapshot TenantShards::snapshot_global() const {
-  TenantSnapshot all{"all", {}, metrics::SlidingWindowMetrics(window_)};
+  TenantSnapshot all{"all", {}, {}};
   MutexLock lock(global_mu_);
   all.totals = global_totals_;
-  all.window = global_;
+  all.window = global_.totals();
   return all;
 }
 
@@ -174,7 +176,8 @@ std::string TenantShards::csv_snapshot() const {
       "tenant,records_total,blocks_total,window_records,window_blocks,"
       "window_io_s,window_bps,window_iops,window_bw_Bps,window_arpt_s\n";
   const auto row = [&](const TenantSnapshot& t) {
-    out += t.name + "," + std::to_string(t.totals.records_total) + "," +
+    out += t.name;
+    out += "," + std::to_string(t.totals.records_total) + "," +
            std::to_string(t.totals.blocks_total);
     ingest::csv_cells(out, {t.window, block_size_});
     out += "\n";

@@ -20,8 +20,11 @@
 //    and its hold time is one span-batch splice.
 //
 // Rendering (Prometheus plaintext / CSV) walks the shards one lock at a
-// time, snapshots, and formats outside the locks, sorted by tenant name so
-// the output is deterministic.
+// time and copies out each tenant's lifetime counters and fixed-size window
+// totals (metrics::WindowTotals) — a plain field copy, so a scrape's lock
+// hold time does not grow with the records a window holds — then computes
+// the figures and formats outside the locks, sorted by tenant name so the
+// output is deterministic.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -109,12 +113,14 @@ class TenantShards {
     std::map<std::string, std::unique_ptr<Tenant>> tenants;
   };
 
-  /// One tenant's (or the fleet's) state, copied out under its lock so the
-  /// window accessors and the formatting run lock-free.
+  /// One tenant's (or the fleet's) figures, copied out under its lock so
+  /// the rate arithmetic and the formatting run lock-free. Trivially
+  /// copyable; `name` views the tenant's immutable name (tenants live as
+  /// long as the TenantShards) or the literal "all".
   struct TenantSnapshot {
-    std::string name;
+    std::string_view name;
     ingest::LifetimeCounters totals;
-    metrics::SlidingWindowMetrics window;
+    metrics::WindowTotals window;
   };
 
   Shard& shard_for(const std::string& name);

@@ -48,11 +48,10 @@ LifetimeCounters& LifetimeCounters::operator+=(const LifetimeCounters& other) {
   return *this;
 }
 
-WindowFigures::WindowFigures(const metrics::SlidingWindowMetrics& w,
-                             Bytes block_size)
-    : records(w.accesses()),
-      blocks(w.blocks()),
-      io_s(w.io_time().seconds()),
+WindowFigures::WindowFigures(const metrics::WindowTotals& w, Bytes block_size)
+    : records(w.records),
+      blocks(w.blocks),
+      io_s(SimDuration(w.busy_ns).seconds()),
       bps(w.bps()),
       iops(w.iops()),
       bw_bps(w.bandwidth_bps(block_size)),

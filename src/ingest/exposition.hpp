@@ -35,10 +35,10 @@ struct LifetimeCounters {
   LifetimeCounters& operator+=(const LifetimeCounters& other);
 };
 
-/// One sliding window's exported figures, read off a window (or a copy of
-/// one taken under a lock, so the accessors run outside it).
+/// One sliding window's exported figures, computed from its totals (or a
+/// copy of them taken under a lock, so the arithmetic runs outside it).
 struct WindowFigures {
-  WindowFigures(const metrics::SlidingWindowMetrics& w, Bytes block_size);
+  WindowFigures(const metrics::WindowTotals& w, Bytes block_size);
 
   std::uint64_t records;
   std::uint64_t blocks;

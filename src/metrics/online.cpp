@@ -47,35 +47,71 @@ double OnlineBpsCounter::bps(SimTime now) const {
 
 void OnlineBpsCounter::reset() { *this = OnlineBpsCounter{}; }
 
-SlidingWindowMetrics::SlidingWindowMetrics(SimDuration window)
-    : window_(window) {
+double WindowTotals::bps() const {
+  if (busy_ns <= 0) return 0.0;
+  return static_cast<double>(blocks) / SimDuration(busy_ns).seconds();
+}
+
+double WindowTotals::iops() const {
+  return static_cast<double>(records) / SimDuration(window_ns).seconds();
+}
+
+double WindowTotals::arpt_s() const {
+  if (records == 0) return 0.0;
+  return static_cast<double>(response_sum_ns) / 1e9 /
+         static_cast<double>(records);
+}
+
+double WindowTotals::bandwidth_bps(Bytes block_size) const {
+  return static_cast<double>(blocks_to_bytes(blocks, block_size)) /
+         SimDuration(window_ns).seconds();
+}
+
+namespace {
+
+// Heap order for the run-head and single-record min-heaps (earliest end on
+// top).
+constexpr auto end_later = [](const auto& a, const auto& b) {
+  return a.end_ns > b.end_ns;
+};
+
+}  // namespace
+
+SlidingWindowMetrics::SlidingWindowMetrics(SimDuration window) {
   BPSIO_CHECK(window.ns() > 0, "sliding window length must be positive");
+  totals_.window_ns = window.ns();
 }
 
 std::int64_t SlidingWindowMetrics::window_start_ns() const {
   // Saturating: with now near the epoch (captured traces start at boot
   // monotonic 0 or huge monotonic values; synthetic tests at small ints),
   // now - W must not wrap below INT64_MIN.
-  const std::int64_t now_ns = now_.ns();
+  const std::int64_t now_ns = totals_.now_ns;
   const std::int64_t min_ns = std::numeric_limits<std::int64_t>::min();
-  if (now_ns < min_ns + window_.ns()) return min_ns;
-  return now_ns - window_.ns();
+  if (now_ns < min_ns + totals_.window_ns) return min_ns;
+  return now_ns - totals_.window_ns;
+}
+
+void SlidingWindowMetrics::count_in(const Live& live) {
+  ++totals_.records;
+  totals_.blocks += live.record_blocks;
+  totals_.response_sum_ns += live.response_ns;
 }
 
 void SlidingWindowMetrics::add(const trace::IoRecord& record) {
   if (!record.valid()) return;  // end < start: never corrupt the union
-  if (!any_ || record.end_ns > now_.ns()) now_ = SimTime(record.end_ns);
+  if (!any_ || record.end_ns > totals_.now_ns) totals_.now_ns = record.end_ns;
   any_ = true;
   const std::int64_t ws = window_start_ns();
   if (record.end_ns <= ws) {
     evict();  // a late record older than the window changes nothing
     return;
   }
-  live_.push(Live{record.end_ns, record.blocks,
-                  record.end_ns - record.start_ns});
-  ++count_;
-  blocks_ += record.blocks;
-  response_sum_ns_ += record.end_ns - record.start_ns;
+  const Live live{record.end_ns, record.blocks,
+                  record.end_ns - record.start_ns};
+  count_in(live);
+  singles_.push_back(live);
+  std::push_heap(singles_.begin(), singles_.end(), end_later);
   const std::int64_t clipped_start = std::max(record.start_ns, ws);
   if (record.end_ns > clipped_start) {
     insert_interval(clipped_start, record.end_ns);
@@ -93,28 +129,43 @@ void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
     if (r.valid() && r.end_ns > max_end) max_end = r.end_ns;
   }
   if (max_end == std::numeric_limits<std::int64_t>::min()) return;
-  if (!any_ || max_end > now_.ns()) now_ = SimTime(max_end);
+  if (!any_ || max_end > totals_.now_ns) totals_.now_ns = max_end;
   any_ = true;
   const std::int64_t ws = window_start_ns();
 
+  // The batch's live records become one eviction run, and its clipped
+  // intervals one sorted batch for the union splice.
   batch_.clear();
-  bool sorted = true;
+  const std::uint32_t run = open_run();
+  std::vector<Live>& live = runs_[run].records;
+  live.reserve(records.size());
+  bool start_ordered = true;
+  bool end_ordered = true;
   std::int64_t prev_start = std::numeric_limits<std::int64_t>::min();
   for (const trace::IoRecord& r : records) {
     if (!r.valid() || r.end_ns <= ws) continue;
-    live_.push(Live{r.end_ns, r.blocks, r.end_ns - r.start_ns});
-    ++count_;
-    blocks_ += r.blocks;
-    response_sum_ns_ += r.end_ns - r.start_ns;
+    if (!live.empty() && r.end_ns < live.back().end_ns) end_ordered = false;
+    live.push_back(Live{r.end_ns, r.blocks, r.end_ns - r.start_ns});
+    count_in(live.back());
     const std::int64_t clipped_start = std::max(r.start_ns, ws);
     if (r.end_ns > clipped_start) {
-      if (clipped_start < prev_start) sorted = false;
+      if (clipped_start < prev_start) start_ordered = false;
       prev_start = clipped_start;
       batch_.push_back(BusyInterval{clipped_start, r.end_ns});
     }
   }
+  if (live.empty()) {
+    free_runs_.push_back(run);
+  } else {
+    if (!end_ordered) {
+      std::sort(live.begin(), live.end(), [](const Live& a, const Live& b) {
+        return a.end_ns < b.end_ns;
+      });
+    }
+    push_head(run);
+  }
   if (!batch_.empty()) {
-    if (!sorted) {
+    if (!start_ordered) {
       std::sort(batch_.begin(), batch_.end(),
                 [](const BusyInterval& a, const BusyInterval& b) {
                   return a.start_ns < b.start_ns;
@@ -137,15 +188,32 @@ void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
 }
 
 void SlidingWindowMetrics::advance(SimTime now) {
-  if (!any_ || now.ns() <= now_.ns()) return;
-  now_ = now;
+  if (!any_ || now.ns() <= totals_.now_ns) return;
+  totals_.now_ns = now.ns();
   evict();
+}
+
+std::uint32_t SlidingWindowMetrics::open_run() {
+  if (!free_runs_.empty()) {
+    const std::uint32_t run = free_runs_.back();
+    free_runs_.pop_back();
+    return run;
+  }
+  BPSIO_CHECK(runs_.size() < kNoRun, "sliding window run slots exhausted");
+  runs_.emplace_back();
+  return static_cast<std::uint32_t>(runs_.size() - 1);
+}
+
+void SlidingWindowMetrics::push_head(std::uint32_t run) {
+  const Run& r = runs_[run];
+  run_heads_.push_back(RunHead{r.records[r.head].end_ns, run});
+  std::push_heap(run_heads_.begin(), run_heads_.end(), end_later);
 }
 
 void SlidingWindowMetrics::insert_interval(std::int64_t start_ns,
                                            std::int64_t end_ns) {
   // Merge [start, end) into the disjoint set; absorb every interval it
-  // overlaps or touches, keeping busy_ns_ the exact total measure.
+  // overlaps or touches, keeping totals_.busy_ns the exact total measure.
   auto it = std::lower_bound(merged_.begin(), merged_.end(), start_ns,
                              [](const BusyInterval& iv, std::int64_t v) {
                                return iv.end_ns < v;
@@ -154,7 +222,7 @@ void SlidingWindowMetrics::insert_interval(std::int64_t start_ns,
   while (last != merged_.end() && last->start_ns <= end_ns) {
     start_ns = std::min(start_ns, last->start_ns);
     end_ns = std::max(end_ns, last->end_ns);
-    busy_ns_ -= last->end_ns - last->start_ns;
+    totals_.busy_ns -= last->end_ns - last->start_ns;
     ++last;
   }
   if (it == last) {
@@ -164,7 +232,7 @@ void SlidingWindowMetrics::insert_interval(std::int64_t start_ns,
     it->end_ns = end_ns;
     merged_.erase(it + 1, last);
   }
-  busy_ns_ += end_ns - start_ns;
+  totals_.busy_ns += end_ns - start_ns;
 }
 
 void SlidingWindowMetrics::insert_runs() {
@@ -204,7 +272,7 @@ void SlidingWindowMetrics::insert_runs() {
   }
   std::int64_t added = 0;
   for (const BusyInterval& iv : union_out_) added += iv.end_ns - iv.start_ns;
-  busy_ns_ += added - removed;
+  totals_.busy_ns += added - removed;
 
   const auto lo_idx = static_cast<std::size_t>(lo - merged_.begin());
   const auto hi_idx = static_cast<std::size_t>(hi - merged_.begin());
@@ -218,20 +286,53 @@ void SlidingWindowMetrics::insert_runs() {
   }
 }
 
+void SlidingWindowMetrics::evict_runs(std::int64_t ws) {
+  // Every run whose oldest record expired: walk its expired prefix, then
+  // requeue its new head or recycle the drained slot.
+  std::uint64_t gone_records = 0;
+  std::uint64_t gone_blocks = 0;
+  std::int64_t gone_response_ns = 0;
+  while (!run_heads_.empty() && run_heads_.front().end_ns <= ws) {
+    std::pop_heap(run_heads_.begin(), run_heads_.end(), end_later);
+    const std::uint32_t index = run_heads_.back().run;
+    run_heads_.pop_back();
+    Run& run = runs_[index];
+    while (run.head < run.records.size() &&
+           run.records[run.head].end_ns <= ws) {
+      const Live& gone = run.records[run.head++];
+      ++gone_records;
+      gone_blocks += gone.record_blocks;
+      gone_response_ns += gone.response_ns;
+    }
+    if (run.head < run.records.size()) {
+      push_head(index);
+      continue;
+    }
+    run.records.clear();
+    run.head = 0;
+    free_runs_.push_back(index);
+  }
+  totals_.records -= gone_records;
+  totals_.blocks -= gone_blocks;
+  totals_.response_sum_ns -= gone_response_ns;
+}
+
 void SlidingWindowMetrics::evict() {
   const std::int64_t ws = window_start_ns();
-  while (!live_.empty() && live_.top().end_ns <= ws) {
-    const Live& gone = live_.top();
-    --count_;
-    blocks_ -= gone.record_blocks;
-    response_sum_ns_ -= gone.response_ns;
-    live_.pop();
+  if (!run_heads_.empty() && run_heads_.front().end_ns <= ws) evict_runs(ws);
+  while (!singles_.empty() && singles_.front().end_ns <= ws) {
+    std::pop_heap(singles_.begin(), singles_.end(), end_later);
+    const Live& gone = singles_.back();
+    --totals_.records;
+    totals_.blocks -= gone.record_blocks;
+    totals_.response_sum_ns -= gone.response_ns;
+    singles_.pop_back();
   }
   // Clip the merged union at the window's left edge: drop fully-expired
   // intervals in one erase, clamp the straddler in place.
   std::size_t drop = 0;
   while (drop < merged_.size() && merged_[drop].end_ns <= ws) {
-    busy_ns_ -= merged_[drop].end_ns - merged_[drop].start_ns;
+    totals_.busy_ns -= merged_[drop].end_ns - merged_[drop].start_ns;
     ++drop;
   }
   if (drop > 0) {
@@ -239,32 +340,12 @@ void SlidingWindowMetrics::evict() {
                   merged_.begin() + static_cast<std::ptrdiff_t>(drop));
   }
   if (!merged_.empty() && merged_.front().start_ns < ws) {
-    busy_ns_ -= ws - merged_.front().start_ns;
+    totals_.busy_ns -= ws - merged_.front().start_ns;
     merged_.front().start_ns = ws;
   }
 }
 
-double SlidingWindowMetrics::bps() const {
-  if (busy_ns_ <= 0) return 0.0;
-  return static_cast<double>(blocks_) / SimDuration(busy_ns_).seconds();
-}
-
-double SlidingWindowMetrics::iops() const {
-  return static_cast<double>(count_) / window_.seconds();
-}
-
-double SlidingWindowMetrics::arpt_s() const {
-  if (count_ == 0) return 0.0;
-  return static_cast<double>(response_sum_ns_) / 1e9 /
-         static_cast<double>(count_);
-}
-
-double SlidingWindowMetrics::bandwidth_bps(Bytes block_size) const {
-  return static_cast<double>(blocks_to_bytes(blocks_, block_size)) /
-         window_.seconds();
-}
-
-void SlidingWindowMetrics::reset() { *this = SlidingWindowMetrics(window_); }
+void SlidingWindowMetrics::reset() { *this = SlidingWindowMetrics(window()); }
 
 std::string OnlineBpsCounter::to_string(SimTime now) const {
   char buf[160];

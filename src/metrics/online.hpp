@@ -15,9 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -66,8 +66,29 @@ class OnlineBpsCounter {
   std::uint64_t unmatched_finishes_ = 0;
 };
 
+/// The scalar state every exported figure of a sliding window derives
+/// from. Fixed-size and trivially copyable: a lock holder copies it out
+/// with a plain field copy and computes the rates after unlocking, so a
+/// scrape costs the same however many records the window holds.
+struct WindowTotals {
+  std::uint64_t records = 0;         ///< records whose end is in the window
+  std::uint64_t blocks = 0;          ///< B: their full block counts
+  std::int64_t busy_ns = 0;          ///< T: busy-time union clamped to it
+  std::int64_t response_sum_ns = 0;  ///< sum of their response times
+  std::int64_t now_ns = 0;           ///< right edge of the window
+  std::int64_t window_ns = 0;        ///< window length W
+
+  double bps() const;             ///< B / T; 0 when T = 0
+  double iops() const;            ///< records / window length
+  double arpt_s() const;          ///< mean response time; 0 when empty
+  /// Application bytes per second over the window length.
+  double bandwidth_bps(Bytes block_size = kDefaultBlockSize) const;
+};
+static_assert(std::is_trivially_copyable_v<WindowTotals>);
+
 /// Sliding-window online metrics — the live counterpart of the post-mortem
-/// pipeline, built for the aggregation daemon (bpsio_agentd).
+/// pipeline, built for the aggregation daemons (bpsio_agentd and
+/// bpsio_collectord).
 ///
 /// Maintains B, T, IOPS, BW, and ARPT over the trailing window
 /// (now - W, now], where `now` is stream time: the largest access end seen
@@ -79,17 +100,23 @@ class OnlineBpsCounter {
 ///    union, so clipping the merged set is exact); flat because the live
 ///    union is small and cache-dense — and the span-batch add() unions a
 ///    whole ordered frame into it with one hinted splice;
-///  * a min-heap of records by end time for B/ARPT expiry — a record
-///    belongs to the window while its end lies inside it (end > now - W),
-///    and contributes its full block count while it does (the paper clamps
-///    time to a window, never blocks — the same rule TimelineConsumer and
-///    col_time() apply).
+///  * end-ordered eviction runs for B/ARPT expiry — a record belongs to the
+///    window while its end lies inside it (end > now - W), and contributes
+///    its full block count while it does (the paper clamps time to a
+///    window, never blocks — the same rule TimelineConsumer and col_time()
+///    apply). Each add(span) stores its live records as one run in end
+///    order (sorted only when the frame is not already end-ordered); a
+///    min-heap over run heads holds one entry per live run, not per record,
+///    and eviction walks each expired run's prefix sequentially. Drained
+///    runs are recycled with their capacity, so a steady stream touches no
+///    new memory. A per-record add() goes to a min-heap of single records
+///    by end time.
 ///
 /// Unlike the batch pipeline, add() accepts records in ANY arrival order —
 /// the daemon interleaves frames from many capture clients — and the result
 /// is order-independent: the window differential test feeds shuffled
 /// permutations and compares against overlap_time_paper/overlap_time_windowed
-/// on the same window. State is O(live records in window).
+/// on the same window. State is O(live records in window); totals() is O(1).
 class SlidingWindowMetrics {
  public:
   explicit SlidingWindowMetrics(SimDuration window);
@@ -104,7 +131,8 @@ class SlidingWindowMetrics {
   /// order-independence the differential tests prove). Exploits the
   /// per-connection ordering contract — a frame sorted by start time unions
   /// into the interval store with one local merge and one hinted splice
-  /// instead of a search per record — but stays correct (just slower) on
+  /// instead of a search per record, and a frame sorted by end becomes an
+  /// eviction run without a sort — but stays correct (just slower) on
   /// unsorted input.
   void add(std::span<const trace::IoRecord> records);
 
@@ -114,64 +142,82 @@ class SlidingWindowMetrics {
   /// window keeps sliding while traffic is idle.
   void advance(SimTime now);
 
-  SimTime now() const { return now_; }
-  SimDuration window() const { return window_; }
+  SimTime now() const { return SimTime(totals_.now_ns); }
+  SimDuration window() const { return SimDuration(totals_.window_ns); }
   /// Left edge of the window, now - W (records with end > this are live).
   std::int64_t window_start_ns() const;
 
   /// True once any record has been ingested.
   bool any() const { return any_; }
   /// Records currently in the window.
-  std::uint64_t accesses() const { return count_; }
+  std::uint64_t accesses() const { return totals_.records; }
   /// B over the window (full block counts of live records).
-  std::uint64_t blocks() const { return blocks_; }
+  std::uint64_t blocks() const { return totals_.blocks; }
   /// T over the window: exact union of busy intervals clamped to it.
-  SimDuration io_time() const { return SimDuration(busy_ns_); }
+  SimDuration io_time() const { return SimDuration(totals_.busy_ns); }
+  /// Every figure's inputs in one fixed-size struct (see WindowTotals).
+  const WindowTotals& totals() const { return totals_; }
 
-  double bps() const;             ///< B / T over the window; 0 when T = 0
-  double iops() const;            ///< accesses / window length
-  double arpt_s() const;          ///< mean response time of live records
-  /// Application bytes per second over the window length.
-  double bandwidth_bps(Bytes block_size = kDefaultBlockSize) const;
+  double bps() const { return totals_.bps(); }
+  double iops() const { return totals_.iops(); }
+  double arpt_s() const { return totals_.arpt_s(); }
+  double bandwidth_bps(Bytes block_size = kDefaultBlockSize) const {
+    return totals_.bandwidth_bps(block_size);
+  }
 
   /// Drop all state (window length is kept).
   void reset();
 
  private:
+  /// What a live record contributes until its end leaves the window.
   struct Live {
     std::int64_t end_ns;
     std::uint64_t record_blocks;
     std::int64_t response_ns;
   };
-  struct LiveLater {
-    bool operator()(const Live& a, const Live& b) const {
-      return a.end_ns > b.end_ns;  // min-heap on end time
-    }
+  /// Live records in nondecreasing end order; [head, size) are in the
+  /// window.
+  struct Run {
+    std::vector<Live> records;
+    std::size_t head = 0;
+  };
+  /// Run-heap entry: a run and the end of its oldest live record.
+  struct RunHead {
+    std::int64_t end_ns;
+    std::uint32_t run;
   };
   struct BusyInterval {
     std::int64_t start_ns;
     std::int64_t end_ns;
   };
 
+  /// Count a live record into the totals.
+  void count_in(const Live& live);
   void insert_interval(std::int64_t start_ns, std::int64_t end_ns);
   /// Union `batch_` (sorted, disjoint, non-touching) into `merged_` with
   /// one splice over the affected slice.
   void insert_runs();
+  /// A cleared run slot (recycled when one is free) for new records.
+  std::uint32_t open_run();
+  /// Put a non-empty run's head on the run heap.
+  void push_head(std::uint32_t run);
   void evict();
+  /// evict()'s run half: drain every run whose head ended at or before ws.
+  void evict_runs(std::int64_t ws);
 
-  SimDuration window_;
-  SimTime now_{};
+  static constexpr std::uint32_t kNoRun = UINT32_MAX;
+
+  WindowTotals totals_;
   bool any_ = false;
   /// Disjoint, non-touching merged busy intervals sorted by start (hence
   /// also by end), all inside the window.
   std::vector<BusyInterval> merged_;
-  std::int64_t busy_ns_ = 0;  ///< total measure of merged_
-  std::vector<BusyInterval> batch_;      ///< scratch: one add(span)'s runs
+  std::vector<BusyInterval> batch_;      ///< scratch: one add(span)'s intervals
   std::vector<BusyInterval> union_out_;  ///< scratch: spliced union slice
-  std::priority_queue<Live, std::vector<Live>, LiveLater> live_;
-  std::uint64_t count_ = 0;
-  std::uint64_t blocks_ = 0;
-  std::int64_t response_sum_ns_ = 0;
+  std::vector<Run> runs_;                ///< run slots, live or free
+  std::vector<std::uint32_t> free_runs_;  ///< drained slots to reuse
+  std::vector<RunHead> run_heads_;       ///< min-heap on end_ns
+  std::vector<Live> singles_;            ///< add(record)s: min-heap on end_ns
 };
 
 }  // namespace bpsio::metrics

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -222,6 +223,88 @@ TEST(TenantShards, AdvanceExpiresWindowsButKeepsTotals) {
               1e-12);
   EXPECT_EQ(shards.records_total(), 1u);
   EXPECT_EQ(shards.blocks_total(), 8u);
+}
+
+TEST(TenantShards, ScrapesWhileIngestingMatchSerialIngest) {
+  // Workers ingest frames for several tenants while another thread keeps
+  // rendering /metrics and CSV. Once everyone joins, both texts must equal
+  // those of a TenantShards fed the same frames serially: the scrape
+  // snapshot copies window totals under the same locks ingest takes, and
+  // TSan checks that path for races.
+  constexpr int kWorkers = 4;
+  constexpr int kFramesPerWorker = 40;
+  constexpr std::size_t kFrameLen = 256;
+  const std::vector<std::string> tenants = {"alpha", "beta", "gamma"};
+  // Each worker's stream spans about 30 us: the windows evict as it goes.
+  const SimDuration window(4'000);
+
+  std::vector<std::vector<std::vector<IoRecord>>> frames(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    std::int64_t t = 1000 * w;
+    for (int f = 0; f < kFramesPerWorker; ++f) {
+      std::vector<IoRecord> frame;
+      for (std::size_t i = 0; i < kFrameLen; ++i) {
+        t += 1 + static_cast<std::int64_t>((i * 7 + f * 13 + w) % 5);
+        frame.push_back(make_record(static_cast<std::uint32_t>(100 + w),
+                                    1 + i % 8, SimTime(t),
+                                    SimTime(t + 3 + (i * 31 + f) % 11)));
+      }
+      frames[static_cast<std::size_t>(w)].push_back(std::move(frame));
+    }
+  }
+  const auto tenant_of = [&](int w) {
+    return tenants[static_cast<std::size_t>(w) % tenants.size()];
+  };
+
+  TenantShards serial(2, window, kBlock);
+  for (int w = 0; w < kWorkers; ++w) {
+    TenantShards::Tenant* tenant = serial.handle(tenant_of(w));
+    for (const auto& frame : frames[static_cast<std::size_t>(w)]) {
+      serial.ingest(tenant, frame);
+    }
+  }
+
+  TenantShards concurrent(2, window, kBlock);
+  std::atomic<bool> scraped_once{false};
+  std::atomic<bool> done{false};
+  std::size_t scrapes = 0;
+  std::thread scraper([&] {
+    while (!done.load()) {
+      const std::string text = concurrent.prometheus_text(CollectorTransport{});
+      const std::string csv = concurrent.csv_snapshot();
+      EXPECT_NE(text.find("bpsio_window_records{tenant=\"all\"} "),
+                std::string::npos);
+      EXPECT_EQ(csv.rfind("tenant,", 0), 0u);
+      ++scrapes;
+      scraped_once.store(true);
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      while (!scraped_once.load()) std::this_thread::yield();
+      TenantShards::Tenant* tenant = concurrent.handle(tenant_of(w));
+      for (const auto& frame : frames[static_cast<std::size_t>(w)]) {
+        concurrent.ingest(tenant, frame);
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  done.store(true);
+  scraper.join();
+
+  EXPECT_GT(scrapes, 0u);
+  // The windows slid: most records have left them again.
+  const double live =
+      metric_value(serial.prometheus_text(CollectorTransport{}),
+                   "bpsio_window_records{tenant=\"all\"} ");
+  EXPECT_GT(live, 0.0);
+  EXPECT_LT(live, static_cast<double>(serial.records_total()) / 2);
+  EXPECT_EQ(concurrent.records_total(),
+            static_cast<std::uint64_t>(kWorkers * kFramesPerWorker) * kFrameLen);
+  EXPECT_EQ(concurrent.prometheus_text(CollectorTransport{}),
+            serial.prometheus_text(CollectorTransport{}));
+  EXPECT_EQ(concurrent.csv_snapshot(), serial.csv_snapshot());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 // different threads, mutexes destroyed and reallocated — must not.
 //
 // The detector is armed only when BPSIO_LOCK_ORDER_CHECKING (Debug or
-// BPSIO_SANITIZE_BUILD; see mutex.hpp). In plain release builds the single
-// test below records a skip so the suite stays honest about what ran.
+// BPSIO_SANITIZE_BUILD; see mutex.hpp). In plain release builds the tests
+// below record skips so the suite stays honest about what ran.
 #include <gtest/gtest.h>
 
 #include "common/mutex.hpp"
@@ -159,12 +159,38 @@ TEST_F(LockOrderTest, DestroyedMutexLeavesNoStaleEdges) {
   EXPECT_EQ(violations(), 0);
 }
 
+// The default handler aborts through BPSIO_CHECK; its message must carry
+// the cycle description, not a bare format placeholder.
+TEST(LockOrderDeathTest, DefaultHandlerReportsTheCycle) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        lock_order::set_violation_handler(nullptr);
+        lock_order::reset_for_testing();
+        Mutex a;
+        Mutex b;
+        {
+          MutexLock la(a);
+          MutexLock lb(b);
+        }
+        MutexLock lb(b);
+        MutexLock la(a);
+      },
+      "lock-order violation: acquiring 0x[0-9a-f]+ while holding 0x[0-9a-f]+ "
+      "inverts the established order");
+}
+
 }  // namespace
 }  // namespace bpsio
 
 #else  // !BPSIO_LOCK_ORDER_CHECKING
 
 TEST(LockOrder, DisabledInThisBuild) {
+  GTEST_SKIP() << "lock-order checking is compiled out (NDEBUG without "
+                  "BPSIO_SANITIZE_BUILD); run a Debug or sanitizer build";
+}
+
+TEST(LockOrderDeathTest, DefaultHandlerReportsTheCycle) {
   GTEST_SKIP() << "lock-order checking is compiled out (NDEBUG without "
                   "BPSIO_SANITIZE_BUILD); run a Debug or sanitizer build";
 }

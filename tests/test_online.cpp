@@ -252,6 +252,7 @@ struct WindowTruth {
   std::uint64_t count = 0;
   std::uint64_t record_blocks = 0;
   std::int64_t busy_ns = 0;
+  std::int64_t response_ns = 0;  ///< summed response times (ARPT numerator)
 };
 
 WindowTruth window_truth(const std::vector<trace::IoRecord>& records,
@@ -262,6 +263,7 @@ WindowTruth window_truth(const std::vector<trace::IoRecord>& records,
     if (r.end_ns <= ws || r.end_ns > now) continue;  // expired or future
     ++truth.count;
     truth.record_blocks += r.blocks;
+    truth.response_ns += r.end_ns - r.start_ns;
     col_time.push_back({r.start_ns, r.end_ns});
   }
   truth.busy_ns = overlap_time_windowed(col_time, ws, now).ns();
@@ -496,6 +498,224 @@ TEST(SlidingWindow, RatesUseWindowAndBusyTime) {
   EXPECT_DOUBLE_EQ(live.iops(), 2.0 / window.seconds());  // per window
   EXPECT_DOUBLE_EQ(live.arpt_s(), 0.010);
   EXPECT_DOUBLE_EQ(live.bandwidth_bps(512), 128.0 * 512.0 / window.seconds());
+}
+
+// ---------------------------------------------------------------------------
+// Eviction runs. add(span) keeps each frame's live records as one run in end
+// order, add(record) goes to a per-record heap; the cases
+// below pin that bookkeeping against the batch union on the shapes a daemon
+// sees: long interleaved per-thread frames, frames ordered by start but not
+// by end, single-record frames, a run recycled and reused, and reset().
+// ---------------------------------------------------------------------------
+
+/// Exact agreement with the batch ground truth over every record fed so far
+/// (none ends after `now`): records, blocks, T and ARPT.
+void expect_window_matches(const SlidingWindowMetrics& live,
+                           const std::vector<trace::IoRecord>& fed,
+                           const char* what) {
+  const WindowTruth truth =
+      window_truth(fed, live.window_start_ns(), live.now().ns());
+  EXPECT_EQ(live.accesses(), truth.count) << what;
+  EXPECT_EQ(live.blocks(), truth.record_blocks) << what;
+  EXPECT_EQ(live.io_time().ns(), truth.busy_ns) << what;
+  EXPECT_EQ(live.totals().response_sum_ns, truth.response_ns) << what;
+  const double arpt =
+      truth.count == 0 ? 0.0
+                       : static_cast<double>(truth.response_ns) / 1e9 /
+                             static_cast<double>(truth.count);
+  EXPECT_DOUBLE_EQ(live.arpt_s(), arpt) << what;
+}
+
+void expect_same_window(const SlidingWindowMetrics& a,
+                        const SlidingWindowMetrics& b, const char* what) {
+  EXPECT_EQ(a.now().ns(), b.now().ns()) << what;
+  EXPECT_EQ(a.accesses(), b.accesses()) << what;
+  EXPECT_EQ(a.blocks(), b.blocks()) << what;
+  EXPECT_EQ(a.io_time().ns(), b.io_time().ns()) << what;
+  EXPECT_EQ(a.totals().response_sum_ns, b.totals().response_sum_ns) << what;
+}
+
+TEST(SlidingWindowRuns, InterleavedMonotoneFramesMatchBatchUnion) {
+  // The live_fleet shape: every capture thread emits a stream monotone in
+  // both start and end, shipped in long frames; frames of different threads
+  // interleave at the daemon, and the window (about 1/8 of the stream span)
+  // slides while they do.
+  constexpr int kThreads = 3;
+  constexpr std::size_t kPerThread = 6000;
+  for (const std::uint64_t seed : {5ULL, 17ULL}) {
+    Rng rng(seed);
+    std::vector<std::vector<trace::IoRecord>> streams(kThreads);
+    std::int64_t span_end = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      std::int64_t start = static_cast<std::int64_t>(rng.uniform_u64(5'000));
+      std::int64_t end = start;
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        start += 1 + static_cast<std::int64_t>(rng.uniform_u64(2'000));
+        // Mostly short reads, now and then a long write that the next few
+        // reads overlap; `end` never moves backwards.
+        const std::int64_t len =
+            rng.uniform_u64(16) == 0
+                ? static_cast<std::int64_t>(rng.uniform_u64(40'000))
+                : static_cast<std::int64_t>(rng.uniform_u64(1'500));
+        end = std::max(end, start + len);
+        streams[static_cast<std::size_t>(t)].push_back(trace::make_record(
+            100 + static_cast<std::uint32_t>(t), 1 + rng.uniform_u64(64),
+            SimTime(start), SimTime(end)));
+      }
+      span_end = std::max(span_end, end);
+    }
+    const SimDuration window(span_end / 8);
+
+    SlidingWindowMetrics batched(window);
+    SlidingWindowMetrics per_record(window);
+    std::vector<trace::IoRecord> fed;
+    std::vector<std::size_t> at(kThreads, 0);
+    std::size_t frames = 0;
+    for (;;) {
+      std::vector<int> open;
+      for (int t = 0; t < kThreads; ++t) {
+        if (at[static_cast<std::size_t>(t)] < kPerThread) open.push_back(t);
+      }
+      if (open.empty()) break;
+      const auto t = static_cast<std::size_t>(
+          open[static_cast<std::size_t>(rng.uniform_u64(open.size()))]);
+      const std::size_t len = std::min<std::size_t>(
+          1024 + static_cast<std::size_t>(rng.uniform_u64(1024)),
+          kPerThread - at[t]);
+      const std::span<const trace::IoRecord> frame{streams[t].data() + at[t],
+                                                   len};
+      at[t] += len;
+      batched.add(frame);
+      for (const trace::IoRecord& r : frame) per_record.add(r);
+      fed.insert(fed.end(), frame.begin(), frame.end());
+      ++frames;
+      expect_same_window(batched, per_record, "after a frame");
+    }
+    ASSERT_GT(frames, 8u);
+    // The window slid past most of the stream.
+    ASSERT_LT(batched.accesses(), fed.size() / 2) << "seed " << seed;
+    expect_window_matches(batched, fed, "batched");
+    expect_window_matches(per_record, fed, "per-record");
+  }
+}
+
+TEST(SlidingWindowRuns, StartOrderedFramesThatAreNotEndOrdered) {
+  // One long write, then short reads that start after it and end before
+  // it: ordered by start, not by end. Eviction must still take the reads
+  // first.
+  const SimDuration window = SimDuration::from_ms(3);
+  SlidingWindowMetrics batched(window);
+  SlidingWindowMetrics per_record(window);
+  std::vector<trace::IoRecord> fed;
+  for (std::int64_t f = 0; f < 12; ++f) {
+    const std::int64_t base = f * 1'000'000;
+    std::vector<trace::IoRecord> frame;
+    frame.push_back(trace::make_record(1, 64, SimTime(base),
+                                       SimTime(base + 2'500'000)));
+    for (std::int64_t i = 1; i <= 8; ++i) {
+      const std::int64_t start = base + i * 100'000;
+      frame.push_back(
+          trace::make_record(1, 1, SimTime(start), SimTime(start + 50'000)));
+    }
+    batched.add(std::span<const trace::IoRecord>(frame));
+    for (const trace::IoRecord& r : frame) per_record.add(r);
+    fed.insert(fed.end(), frame.begin(), frame.end());
+    expect_same_window(batched, per_record, "after a frame");
+    expect_window_matches(batched, fed, "batched");
+  }
+  // Slide part of the way: the newest frame's reads expire, while the
+  // writes of the last two frames (ending 12.5 and 13.5 ms) stay live.
+  const std::int64_t last_base = 11 * 1'000'000;
+  batched.advance(SimTime(last_base + 900'000 + 3'000'000));
+  per_record.advance(SimTime(last_base + 900'000 + 3'000'000));
+  expect_same_window(batched, per_record, "after advance");
+  expect_window_matches(batched, fed, "after advance");
+  EXPECT_EQ(batched.accesses(), 2u);
+  EXPECT_EQ(batched.blocks(), 128u);
+}
+
+TEST(SlidingWindowRuns, SingleRecordFrames) {
+  const SimDuration window = SimDuration::from_ms(20);
+  const std::vector<trace::IoRecord> records =
+      random_records(808, 500, 120'000'000);
+  SlidingWindowMetrics batched(window);
+  SlidingWindowMetrics per_record(window);
+  std::vector<trace::IoRecord> fed;
+  for (const trace::IoRecord& r : records) {
+    batched.add(std::span<const trace::IoRecord>(&r, 1));
+    per_record.add(r);
+    fed.push_back(r);
+  }
+  expect_same_window(batched, per_record, "single-record frames");
+  // The records arrive unordered; at the final edge none ends after `now`.
+  expect_window_matches(batched, fed, "single-record frames");
+}
+
+TEST(SlidingWindowRuns, InOrderRecordAfterARecycledRun) {
+  const SimDuration window = SimDuration::from_ms(10);
+  SlidingWindowMetrics live(window);
+  std::vector<trace::IoRecord> fed;
+  const auto feed = [&](std::int64_t start, std::int64_t end,
+                        std::uint64_t blocks) {
+    fed.push_back(trace::make_record(1, blocks, SimTime(start), SimTime(end)));
+    live.add(fed.back());
+  };
+  const auto feed_frame = [&](std::vector<trace::IoRecord> frame) {
+    fed.insert(fed.end(), frame.begin(), frame.end());
+    live.add(std::span<const trace::IoRecord>(frame));
+  };
+  feed_frame({trace::make_record(1, 3, SimTime(0), SimTime(1'000'000)),
+              trace::make_record(1, 4, SimTime(500'000),
+                                 SimTime(2'000'000))});  // one run
+  live.advance(SimTime(100'000'000));  // drains it: the slot is recycled
+  EXPECT_EQ(live.accesses(), 0u);
+  EXPECT_EQ(live.io_time().ns(), 0);
+  feed(95'000'000, 99'000'000, 5);   // in order
+  feed(99'000'000, 101'000'000, 6);  // in order
+  feed(92'000'000, 93'000'000, 7);   // out of order
+  expect_window_matches(live, fed, "after reuse");
+  EXPECT_EQ(live.accesses(), 3u);
+  live.advance(SimTime(103'500'000));  // expires the out-of-order record
+  expect_window_matches(live, fed, "oldest end expired");
+  EXPECT_EQ(live.blocks(), 11u);
+  live.advance(SimTime(109'500'000));  // expires the first in-order record
+  expect_window_matches(live, fed, "second oldest expired");
+  EXPECT_EQ(live.accesses(), 1u);
+  EXPECT_EQ(live.blocks(), 6u);
+  feed_frame({trace::make_record(1, 2, SimTime(108'000'000),
+                                 SimTime(110'000'000)),
+              trace::make_record(1, 3, SimTime(109'000'000),
+                                 SimTime(111'000'000))});  // reuses the slot
+  expect_window_matches(live, fed, "frame after records");
+  EXPECT_EQ(live.accesses(), 2u);
+  EXPECT_EQ(live.blocks(), 5u);
+}
+
+TEST(SlidingWindowRuns, ResetThenReuse) {
+  const SimDuration window = SimDuration::from_ms(25);
+  SlidingWindowMetrics live(window);
+  for (const trace::IoRecord& r : random_records(42, 300, 90'000'000)) {
+    live.add(r);
+  }
+  ASSERT_GT(live.accesses(), 0u);
+  live.reset();
+  EXPECT_FALSE(live.any());
+  EXPECT_EQ(live.accesses(), 0u);
+  EXPECT_EQ(live.blocks(), 0u);
+  EXPECT_EQ(live.io_time().ns(), 0);
+  EXPECT_EQ(live.window().ns(), window.ns());
+
+  const std::vector<trace::IoRecord> next =
+      random_records(43, 300, 90'000'000);
+  SlidingWindowMetrics fresh(window);
+  for (std::size_t at = 0; at < next.size(); at += 64) {
+    const std::span<const trace::IoRecord> frame{
+        next.data() + at, std::min<std::size_t>(64, next.size() - at)};
+    live.add(frame);
+    fresh.add(frame);
+  }
+  expect_same_window(live, fresh, "reused after reset");
+  expect_window_matches(live, next, "reused after reset");
 }
 
 }  // namespace
