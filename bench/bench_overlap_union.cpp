@@ -1,16 +1,14 @@
-// Harness bench: interval-union overlap time (the Step-3 hot path), serial
-// sort-and-merge and the sharded parallel engine.
+// Harness bench: interval-union overlap time (the Step-3 hot path), the
+// sort-and-merge on the interval-union kernel.
 //
-// Emits BENCH_overlap_union_serial.json always and
-// BENCH_overlap_union_parallel.json when --threads > 1 (default 4). The
-// per-op work is overlap_time_merged / overlap_time_parallel over a fresh
-// copy of the same seeded random interval set; throughput is intervals/sec.
+// Emits BENCH_overlap_union_serial.json. The per-op work is
+// overlap_time_merged over a fresh copy of the same seeded random interval
+// set; throughput is intervals/sec.
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "metrics/overlap.hpp"
 #include "trace/io_record.hpp"
 
@@ -35,11 +33,10 @@ std::vector<trace::TimeInterval> random_intervals(std::uint64_t n,
 
 int main(int argc, char** argv) {
   bench::CommonBenchArgs args;
-  args.threads = 4;
   cli::ArgParser parser("bench_overlap_union",
-                        "Throughput of the interval-union overlap algorithms "
-                        "(serial + parallel) with a statistical harness.");
-  bench::register_common_flags(parser, &args, /*with_threads=*/true);
+                        "Throughput of the interval-union overlap time "
+                        "with a statistical harness.");
+  bench::register_common_flags(parser, &args, /*with_threads=*/false);
   std::vector<std::string> positionals;
   switch (parser.parse(argc, argv, positionals)) {
     case cli::ArgParser::Outcome::help: return 0;
@@ -56,30 +53,12 @@ int main(int argc, char** argv) {
 
   const std::map<std::string, std::string> extra = {
       {"records", std::to_string(n)}, {"profile", args.profile}};
-  int rc = 0;
-
-  {
-    auto cfg = bench::make_harness_config("overlap_union_serial", args);
-    cfg.threads = 1;
-    const bench::BenchHarness harness(cfg);
-    const auto result = harness.run([&] {
-      auto copy = intervals;
-      const auto t = metrics::overlap_time_merged(std::move(copy));
-      return t.ns() >= 0 ? static_cast<double>(n) : 0.0;
-    });
-    rc |= bench::report_result(args, cfg, result, extra);
-  }
-
-  if (args.threads > 1) {
-    ThreadPool pool(static_cast<std::size_t>(args.threads));
-    const auto cfg = bench::make_harness_config("overlap_union_parallel", args);
-    const bench::BenchHarness harness(cfg);
-    const auto result = harness.run([&] {
-      auto copy = intervals;
-      const auto t = metrics::overlap_time_parallel(std::move(copy), pool);
-      return t.ns() >= 0 ? static_cast<double>(n) : 0.0;
-    });
-    rc |= bench::report_result(args, cfg, result, extra);
-  }
-  return rc;
+  const auto cfg = bench::make_harness_config("overlap_union_serial", args);
+  const bench::BenchHarness harness(cfg);
+  const auto result = harness.run([&] {
+    auto copy = intervals;
+    const auto t = metrics::overlap_time_merged(std::move(copy));
+    return t.ns() >= 0 ? static_cast<double>(n) : 0.0;
+  });
+  return bench::report_result(args, cfg, result, extra);
 }

@@ -15,8 +15,10 @@
 //       SpilledTraceSource (ifstream copy-per-chunk) and MappedTraceSource
 //       (spans over the mapping, zero copies), emitting
 //       BENCH_trace_stream_ifstream.json and BENCH_trace_stream_mmap.json;
-//       the mmap record carries `speedup_vs_ifstream`. Both drains must
-//       agree on record count and total blocks or the bench fails.
+//       the mmap record carries `speedup_vs_ifstream`. Every timed drain
+//       reads every record (it sums the block counts) and must match the
+//       untimed checksum on record count and total blocks, or the bench
+//       fails.
 //
 // The rss smoke ctest runs --records=409600 (100x the in-memory default,
 // ~12.5 MiB on disk). Exit status is nonzero on any mismatch or an RSS
@@ -177,9 +179,10 @@ struct DrainTotals {
   std::uint64_t blocks = 0;
 };
 
-// Untimed verification drain: touches every record's payload so the two
-// sources are proven to deliver identical streams (and the mapping is
-// faulted in before timing starts).
+// Drain that reads every record's payload: untimed, it proves the two
+// sources deliver identical streams (and faults the mapping in before
+// timing starts); timed, it is the per-sample work, so every sample reads
+// the records it counts (counting spans alone would time pointer hand-off).
 DrainTotals checksum_drain(trace::RecordSource& source) {
   DrainTotals totals;
   for (;;) {
@@ -191,22 +194,6 @@ DrainTotals checksum_drain(trace::RecordSource& source) {
   BPSIO_CHECK(source.status().ok(), "drain failed: %s",
               source.status().error().message.c_str());
   return totals;
-}
-
-// Timed delivery drain: pull every chunk, count records, leave the payload
-// untouched. This isolates what the source itself costs: the ifstream path
-// copies every byte into its chunk buffer, the mapped path yields spans over
-// the page cache — delivery is decoupled from payload size, which is the
-// zero-copy claim under test. (Downstream consumption cost is identical for
-// both and is measured by bench_agent_ingest / bench_window_ingest.)
-std::uint64_t delivery_drain(trace::RecordSource& source) {
-  std::uint64_t count = 0;
-  for (;;) {
-    const auto chunk = source.next_chunk();
-    if (chunk.empty()) break;
-    count += chunk.size();
-  }
-  return count;
 }
 
 int run_throughput_mode(const bench::CommonBenchArgs& args,
@@ -222,34 +209,38 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
   // Prove the two sources deliver identical streams before timing anything;
   // this also checks the mapped source really is mapping — a silent
   // fallback to the ifstream path would make the comparison meaningless.
+  DrainTotals expected;
   {
     trace::MappedTraceSource mapped(path, chunk);
     BPSIO_CHECK(mapped.status().ok(), "mmap source failed: %s",
                 mapped.status().error().message.c_str());
     trace::SpilledTraceSource spilled(path, chunk);
-    const DrainTotals a = checksum_drain(mapped);
+    expected = checksum_drain(mapped);
     const DrainTotals b = checksum_drain(spilled);
-    BPSIO_CHECK(a.count == records && b.count == records &&
-                    a.blocks == b.blocks,
+    BPSIO_CHECK(expected.count == records && b.count == records &&
+                    expected.blocks == b.blocks,
                 "ifstream and mmap drains disagree");
   }
+  const auto timed_drain = [&expected](trace::RecordSource& source,
+                                       const char* what) {
+    const DrainTotals got = checksum_drain(source);
+    BPSIO_CHECK(got.count == expected.count && got.blocks == expected.blocks,
+                "%s drain disagrees with the checksum", what);
+    return static_cast<double>(got.count);
+  };
 
   auto ifstream_cfg = bench::make_harness_config("trace_stream_ifstream", args);
   const bench::BenchHarness ifstream_harness(ifstream_cfg);
   const auto ifstream_result = ifstream_harness.run([&] {
     trace::SpilledTraceSource source(path, chunk);
-    const std::uint64_t count = delivery_drain(source);
-    BPSIO_CHECK(count == records, "ifstream drain lost records");
-    return static_cast<double>(count);
+    return timed_drain(source, "ifstream");
   });
 
   auto mmap_cfg = bench::make_harness_config("trace_stream_mmap", args);
   const bench::BenchHarness mmap_harness(mmap_cfg);
   const auto mmap_result = mmap_harness.run([&] {
     trace::MappedTraceSource source(path, chunk);
-    const std::uint64_t count = delivery_drain(source);
-    BPSIO_CHECK(count == records, "mmap drain lost records");
-    return static_cast<double>(count);
+    return timed_drain(source, "mmap");
   });
 
   const double speedup = ifstream_result.est.mean > 0

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "metrics/interval_union.hpp"
 
 namespace bpsio::metrics {
 
@@ -114,7 +115,8 @@ void SlidingWindowMetrics::add(const trace::IoRecord& record) {
   std::push_heap(singles_.begin(), singles_.end(), end_later);
   const std::int64_t clipped_start = std::max(record.start_ns, ws);
   if (record.end_ns > clipped_start) {
-    insert_interval(clipped_start, record.end_ns);
+    const trace::TimeInterval iv{clipped_start, record.end_ns};
+    splice({&iv, 1});
   }
   evict();
 }
@@ -151,7 +153,7 @@ void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
     if (r.end_ns > clipped_start) {
       if (clipped_start < prev_start) start_ordered = false;
       prev_start = clipped_start;
-      batch_.push_back(BusyInterval{clipped_start, r.end_ns});
+      batch_.push_back(trace::TimeInterval{clipped_start, r.end_ns});
     }
   }
   if (live.empty()) {
@@ -167,22 +169,11 @@ void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
   if (!batch_.empty()) {
     if (!start_ordered) {
       std::sort(batch_.begin(), batch_.end(),
-                [](const BusyInterval& a, const BusyInterval& b) {
+                [](const trace::TimeInterval& a, const trace::TimeInterval& b) {
                   return a.start_ns < b.start_ns;
                 });
     }
-    // Coalesce overlapping/touching neighbours in place: a start-ordered
-    // frame collapses to a handful of disjoint runs.
-    std::size_t w = 0;
-    for (std::size_t i = 1; i < batch_.size(); ++i) {
-      if (batch_[i].start_ns <= batch_[w].end_ns) {
-        batch_[w].end_ns = std::max(batch_[w].end_ns, batch_[i].end_ns);
-      } else {
-        batch_[++w] = batch_[i];
-      }
-    }
-    batch_.resize(w + 1);
-    insert_runs();
+    splice(batch_);
   }
   evict();
 }
@@ -210,70 +201,50 @@ void SlidingWindowMetrics::push_head(std::uint32_t run) {
   std::push_heap(run_heads_.begin(), run_heads_.end(), end_later);
 }
 
-void SlidingWindowMetrics::insert_interval(std::int64_t start_ns,
-                                           std::int64_t end_ns) {
-  // Merge [start, end) into the disjoint set; absorb every interval it
-  // overlaps or touches, keeping totals_.busy_ns the exact total measure.
-  auto it = std::lower_bound(merged_.begin(), merged_.end(), start_ns,
-                             [](const BusyInterval& iv, std::int64_t v) {
-                               return iv.end_ns < v;
-                             });
-  auto last = it;
-  while (last != merged_.end() && last->start_ns <= end_ns) {
-    start_ns = std::min(start_ns, last->start_ns);
-    end_ns = std::max(end_ns, last->end_ns);
-    totals_.busy_ns -= last->end_ns - last->start_ns;
-    ++last;
-  }
-  if (it == last) {
-    merged_.insert(it, BusyInterval{start_ns, end_ns});
-  } else {
-    it->start_ns = start_ns;
-    it->end_ns = end_ns;
-    merged_.erase(it + 1, last);
-  }
-  totals_.busy_ns += end_ns - start_ns;
-}
-
-void SlidingWindowMetrics::insert_runs() {
-  // Hinted batched union: binary-search the slice of merged_ that the batch
-  // can touch, two-pointer union both sorted lists into a scratch, splice
-  // the result back. Everything before/after the slice is untouched.
-  const auto lo = std::lower_bound(merged_.begin(), merged_.end(),
-                                   batch_.front().start_ns,
-                                   [](const BusyInterval& iv, std::int64_t v) {
-                                     return iv.end_ns < v;
-                                   });
-  const auto hi = std::upper_bound(lo, merged_.end(), batch_.back().end_ns,
-                                   [](std::int64_t v, const BusyInterval& iv) {
-                                     return v < iv.start_ns;
-                                   });
-  std::int64_t removed = 0;
-  for (auto it = lo; it != hi; ++it) removed += it->end_ns - it->start_ns;
-
+void SlidingWindowMetrics::splice(
+    std::span<const trace::TimeInterval> sorted) {
+  // Hinted batched union: binary-search the first stored run the batch can
+  // touch, feed the batch and the stored runs up to the batch's union end,
+  // in start order, to the union kernel, and write the result back over
+  // that slice. Everything before/after the slice is untouched: stored runs
+  // are disjoint and non-touching, so none past the slice can reach it.
+  const auto lo = std::lower_bound(
+      merged_.begin(), merged_.end(), sorted.front().start_ns,
+      [](const trace::TimeInterval& iv, std::int64_t v) {
+        return iv.end_ns < v;
+      });
+  IntervalUnion u;
   union_out_.clear();
-  const auto push = [this](const BusyInterval& iv) {
-    if (!union_out_.empty() && iv.start_ns <= union_out_.back().end_ns) {
-      union_out_.back().end_ns =
-          std::max(union_out_.back().end_ns, iv.end_ns);
-    } else {
-      union_out_.push_back(iv);
+  const auto keep = [this](const trace::TimeInterval& run) {
+    union_out_.push_back(run);
+  };
+  std::int64_t removed = 0;
+  auto hi = lo;
+  const auto take_stored_through = [&](std::int64_t t) {
+    for (; hi != merged_.end() && hi->start_ns <= t; ++hi) {
+      removed += hi->end_ns - hi->start_ns;
+      u.add(*hi, keep);
     }
   };
-  auto a = lo;
-  std::size_t b = 0;
-  while (a != hi || b < batch_.size()) {
-    if (b >= batch_.size() ||
-        (a != hi && a->start_ns <= batch_[b].start_ns)) {
-      push(*a++);
-    } else {
-      push(batch_[b++]);
-    }
+  for (const trace::TimeInterval& iv : sorted) {
+    take_stored_through(iv.start_ns);
+    u.add(iv, keep);
   }
-  std::int64_t added = 0;
-  for (const BusyInterval& iv : union_out_) added += iv.end_ns - iv.start_ns;
-  totals_.busy_ns += added - removed;
+  take_stored_through(u.last_run().end_ns);
+  totals_.busy_ns += u.measure_ns() - removed;
 
+  if (union_out_.empty()) {
+    // The slice and the batch union to one run (always so for a single
+    // interval): write it in place, no scratch copy.
+    if (lo == hi) {
+      merged_.insert(lo, u.last_run());
+    } else {
+      *lo = u.last_run();
+      merged_.erase(lo + 1, hi);
+    }
+    return;
+  }
+  union_out_.push_back(u.last_run());
   const auto lo_idx = static_cast<std::size_t>(lo - merged_.begin());
   const auto hi_idx = static_cast<std::size_t>(hi - merged_.begin());
   if (union_out_.size() == hi_idx - lo_idx) {

@@ -23,6 +23,7 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "trace/io_record.hpp"
+#include "trace/trace_collector.hpp"
 
 namespace bpsio::metrics {
 
@@ -98,8 +99,9 @@ static_assert(std::is_trivially_copyable_v<WindowTotals>);
 ///  * a flat sorted vector of disjoint merged busy intervals, clipped on
 ///    the left as the window slides (union-then-clamp equals clamp-then-
 ///    union, so clipping the merged set is exact); flat because the live
-///    union is small and cache-dense — and the span-batch add() unions a
-///    whole ordered frame into it with one hinted splice;
+///    union is small and cache-dense. Both add()s union their intervals
+///    into it with one hinted splice on the interval-union kernel (a
+///    span-batch add() splices its whole start-sorted frame at once);
 ///  * end-ordered eviction runs for B/ARPT expiry — a record belongs to the
 ///    window while its end lies inside it (end > now - W), and contributes
 ///    its full block count while it does (the paper clamps time to a
@@ -130,10 +132,9 @@ class SlidingWindowMetrics {
   /// turn (the window state is a function of the record multiset — the
   /// order-independence the differential tests prove). Exploits the
   /// per-connection ordering contract — a frame sorted by start time unions
-  /// into the interval store with one local merge and one hinted splice
-  /// instead of a search per record, and a frame sorted by end becomes an
-  /// eviction run without a sort — but stays correct (just slower) on
-  /// unsorted input.
+  /// into the interval store with one hinted splice instead of a search per
+  /// record, and a frame sorted by end becomes an eviction run without a
+  /// sort — but stays correct (just slower) on unsorted input.
   void add(std::span<const trace::IoRecord> records);
 
   /// Slide the window forward to `now` (no-op when now <= current now):
@@ -186,17 +187,12 @@ class SlidingWindowMetrics {
     std::int64_t end_ns;
     std::uint32_t run;
   };
-  struct BusyInterval {
-    std::int64_t start_ns;
-    std::int64_t end_ns;
-  };
 
   /// Count a live record into the totals.
   void count_in(const Live& live);
-  void insert_interval(std::int64_t start_ns, std::int64_t end_ns);
-  /// Union `batch_` (sorted, disjoint, non-touching) into `merged_` with
-  /// one splice over the affected slice.
-  void insert_runs();
+  /// Union `sorted` (nonempty, in nondecreasing start order) into `merged_`
+  /// with one splice over the affected slice.
+  void splice(std::span<const trace::TimeInterval> sorted);
   /// A cleared run slot (recycled when one is free) for new records.
   std::uint32_t open_run();
   /// Put a non-empty run's head on the run heap.
@@ -211,9 +207,10 @@ class SlidingWindowMetrics {
   bool any_ = false;
   /// Disjoint, non-touching merged busy intervals sorted by start (hence
   /// also by end), all inside the window.
-  std::vector<BusyInterval> merged_;
-  std::vector<BusyInterval> batch_;      ///< scratch: one add(span)'s intervals
-  std::vector<BusyInterval> union_out_;  ///< scratch: spliced union slice
+  std::vector<trace::TimeInterval> merged_;
+  /// Scratch: one add(span)'s clipped intervals, then the spliced slice.
+  std::vector<trace::TimeInterval> batch_;
+  std::vector<trace::TimeInterval> union_out_;
   std::vector<Run> runs_;                ///< run slots, live or free
   std::vector<std::uint32_t> free_runs_;  ///< drained slots to reuse
   std::vector<RunHead> run_heads_;       ///< min-heap on end_ns

@@ -5,16 +5,15 @@
 // zero ("T should only include the time when I/O operation is performing").
 //
 // Three implementations are provided:
+//  * overlap_time_merged()     — sort, then the interval-union kernel
+//                                (interval_union.hpp) that every ordered T
+//                                computation in bpsio runs on; merge_intervals()
+//                                also returns the merged interval list.
 //  * overlap_time_paper()      — the paper's Figure-3 algorithm, transcribed
 //                                as literally as possible (sort by start, then
 //                                a step-by-step record comparison that merges
 //                                the next record into the current one).
-//  * overlap_time_merged()     — a clean sort-and-merge; also returns the
-//                                merged interval list for inspection.
 //  * overlap_time_bruteforce() — O(n²) reference used by property tests.
-//  * overlap_time_parallel()   — sharded sort + k-way merge on a ThreadPool;
-//                                bit-identical to overlap_time_merged() by
-//                                construction (overlap_parallel.cpp).
 //
 // All implementations agree on every input (tested exhaustively); the paper
 // version is kept because reproducing the published algorithm verbatim is
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "common/sim_time.hpp"
-#include "common/thread_pool.hpp"
 #include "trace/trace_collector.hpp"
 
 namespace bpsio::metrics {
@@ -36,7 +34,7 @@ using trace::TimeInterval;
 /// algorithm sorts internally, as Figure 3 does). Empty input -> 0.
 SimDuration overlap_time_paper(std::vector<TimeInterval> col_time);
 
-/// Clean sort-and-merge union measure.
+/// Sort-and-merge union measure (the interval-union kernel).
 SimDuration overlap_time_merged(std::vector<TimeInterval> col_time);
 
 /// Sort-and-merge that also returns the disjoint union intervals, sorted.
@@ -46,21 +44,6 @@ std::vector<TimeInterval> merge_intervals(std::vector<TimeInterval> col_time);
 /// O(n²) reference: for each interval, measure the part not covered by any
 /// earlier interval, via pairwise subtraction. Slow; tests only.
 SimDuration overlap_time_bruteforce(const std::vector<TimeInterval>& col_time);
-
-/// Sharded union measure: partition col_time into one shard per pool worker,
-/// sort the shards concurrently, then stream the union scan over a k-way
-/// merge of the sorted shards. The scan consumes exactly the sequence
-/// overlap_time_merged() sorts to (ties carry identical (start, end) keys,
-/// so shard order cannot change the union), hence the result is equal by
-/// construction, not by rounding luck. Small inputs fall back to the serial
-/// path — sharding 1e3 intervals costs more than it saves.
-SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
-                                  ThreadPool& pool);
-
-/// Convenience overload owning a transient pool of `threads` workers
-/// (0 = hardware threads). Prefer the pool overload in loops.
-SimDuration overlap_time_parallel(std::vector<TimeInterval> col_time,
-                                  std::size_t threads);
 
 /// Union measure restricted to a window [w_start, w_end).
 SimDuration overlap_time_windowed(const std::vector<TimeInterval>& col_time,

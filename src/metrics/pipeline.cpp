@@ -97,16 +97,10 @@ void IntervalSweep::finish() {
 // ---------------------------------------------------------------------------
 
 void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  if (!sweep_bound_) {
-    sweep_bound_ = true;
-    sweep_.on_segment = [this](std::int64_t t0, std::int64_t t1, std::size_t) {
-      busy_ns_ += t1 - t0;  // any level >= 1 is busy: T is the union measure
-    };
-  }
   for (const auto& r : chunk) {
     // col_time()'s window clamp: time inside the window only. Clamping a
     // nondecreasing start sequence with max() keeps it nondecreasing, so
-    // the sweep's ordering requirement survives.
+    // the union's and the sweep's ordering requirement survives.
     std::int64_t s = r.start_ns;
     std::int64_t e = r.end_ns;
     if (window_start_) s = std::max(s, *window_start_);
@@ -122,6 +116,7 @@ void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
     }
     if (e > s) {
       sum_len_ns_ += e - s;
+      union_.add({s, e});
       sweep_.add(s, e);
     }
   }
@@ -130,8 +125,9 @@ void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
 void OverlapConsumer::finish() { sweep_.finish(); }
 
 double OverlapConsumer::avg_concurrency() const {
-  if (busy_ns_ <= 0) return 0.0;
-  return static_cast<double>(sum_len_ns_) / static_cast<double>(busy_ns_);
+  const std::int64_t busy_ns = union_.measure_ns();
+  if (busy_ns <= 0) return 0.0;
+  return static_cast<double>(sum_len_ns_) / static_cast<double>(busy_ns);
 }
 
 SimDuration OverlapConsumer::idle_time() const {
@@ -187,7 +183,7 @@ TimelineConsumer::TimelineConsumer(SimDuration window,
 void TimelineConsumer::ensure_windows(std::size_t count) {
   if (timeline_.windows.size() < count) {
     timeline_.windows.resize(count);
-    merges_.resize(count);
+    busy_.resize(count);
   }
 }
 
@@ -234,22 +230,10 @@ void TimelineConsumer::consume(std::span<const trace::IoRecord> chunk) {
       win.blocks += static_cast<double>(r.blocks) * share;
       ++win.accesses_active;
       if (inside > 0) {
-        // Streaming union merge: per-window clipped starts arrive in
-        // nondecreasing order, so one open interval suffices (the same
-        // extend-or-emit rule as merge_intervals()).
-        WindowMerge& m = merges_[i];
-        if (!m.open) {
-          m.open = true;
-          m.cur_start_ns = s;
-          m.cur_end_ns = e;
-        } else if (s <= m.cur_end_ns) {
-          m.cur_end_ns = std::max(m.cur_end_ns, e);
-        } else {
-          m.busy_ns += m.cur_end_ns - m.cur_start_ns;
-          m.cur_start_ns = s;
-          m.cur_end_ns = e;
-        }
-        m.sum_len_ns += e - s;
+        // Per-window clipped starts arrive in nondecreasing order, as the
+        // union kernel requires.
+        busy_[i].busy.add({s, e});
+        busy_[i].sum_len_ns += e - s;
       }
     }
   }
@@ -260,7 +244,7 @@ void TimelineConsumer::finish() {
   const std::int64_t hi = hi_override_ ? *hi_override_ : max_end_;
   if (hi <= lo_) {
     timeline_.windows.clear();
-    merges_.clear();
+    busy_.clear();
     return;
   }
   // The batch builder sizes the window array from the span up front and
@@ -271,25 +255,21 @@ void TimelineConsumer::finish() {
       static_cast<std::size_t>((hi - lo_ + window_ns_ - 1) / window_ns_);
   if (timeline_.windows.size() > n_windows) {
     timeline_.windows.resize(n_windows);
-    merges_.resize(n_windows);
+    busy_.resize(n_windows);
   }
   for (std::size_t i = 0; i < timeline_.windows.size(); ++i) {
     TimelineWindow& win = timeline_.windows[i];
     win.start_ns = lo_ + static_cast<std::int64_t>(i) * window_ns_;
     win.end_ns = std::min<std::int64_t>(win.start_ns + window_ns_, hi);
-    WindowMerge& m = merges_[i];
-    if (m.open) {
-      m.busy_ns += m.cur_end_ns - m.cur_start_ns;
-      m.open = false;
-    }
-    win.io_time_s = SimDuration(m.busy_ns).seconds();
+    const std::int64_t busy_ns = busy_[i].busy.measure_ns();
+    win.io_time_s = SimDuration(busy_ns).seconds();
     const double len = static_cast<double>(win.end_ns - win.start_ns) * 1e-9;
     win.busy_fraction = len > 0 ? win.io_time_s / len : 0.0;
     win.bps = win.io_time_s > 0 ? win.blocks / win.io_time_s : 0.0;
-    win.avg_concurrency =
-        m.busy_ns > 0
-            ? static_cast<double>(m.sum_len_ns) / static_cast<double>(m.busy_ns)
-            : 0.0;
+    win.avg_concurrency = busy_ns > 0
+                              ? static_cast<double>(busy_[i].sum_len_ns) /
+                                    static_cast<double>(busy_ns)
+                              : 0.0;
   }
 }
 

@@ -3,13 +3,13 @@
 // A MetricPipeline pulls ordered record chunks from a trace::RecordSource
 // and pushes them through attached MetricConsumers, computing a full
 // MetricSample in one pass and O(chunk + concurrency) memory. The overlap
-// consumer generalizes the OnlineBpsCounter transition logic (active count,
-// open-interval start, busy accumulation) with a pending-ends min-heap, so T
-// is the exact integer union measure the batch algorithms compute; B, ARPT
-// and peak concurrency accumulate in integers. Every accumulator is either
-// order-independent (integer sums) or consumes the canonical (start, end)
-// order, which is why the streaming path is bit-identical to the batch path
-// — the differential tests in tests/test_metric_pipeline.cpp assert it.
+// consumer feeds the ordered intervals to the interval-union kernel
+// (interval_union.hpp), so T is the exact integer union measure the batch
+// algorithms compute; B, ARPT and peak concurrency accumulate in integers.
+// Every accumulator is either order-independent (integer sums) or consumes
+// the canonical (start, end) order, which is why the streaming path is
+// bit-identical to the batch path — the differential tests in
+// tests/test_metric_pipeline.cpp assert it.
 //
 //   sources (trace/record_source.hpp)        consumers (this header)
 //   ---------------------------------        -----------------------------
@@ -37,6 +37,7 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "metrics/calculators.hpp"
+#include "metrics/interval_union.hpp"
 #include "metrics/timeline.hpp"
 #include "stats/histogram.hpp"
 #include "trace/record_source.hpp"
@@ -129,10 +130,10 @@ class IntervalSweep {
 }  // namespace detail
 
 /// T accumulator: exact integer union measure of the access intervals, plus
-/// the span statistics derived from the same sweep (peak and average
-/// concurrency, idle time). When a filter window is given, intervals are
-/// clamped to it exactly as TraceCollector::col_time() clamps — blocks are
-/// never clamped, only time is.
+/// the span statistics of the same stream (peak and average concurrency,
+/// idle time). When a filter window is given, intervals are clamped to it
+/// exactly as TraceCollector::col_time() clamps — blocks are never clamped,
+/// only time is.
 class OverlapConsumer final : public MetricConsumer {
  public:
   OverlapConsumer() = default;
@@ -145,8 +146,9 @@ class OverlapConsumer final : public MetricConsumer {
   void consume(std::span<const trace::IoRecord> chunk) override;
   void finish() override;
 
-  /// T — only valid after finish().
-  SimDuration io_time() const { return SimDuration(busy_ns_); }
+  /// T over everything consumed so far.
+  SimDuration io_time() const { return SimDuration(union_.measure_ns()); }
+  /// Only valid after finish().
   std::size_t peak_concurrency() const { return sweep_.peak(); }
   /// sum(interval lengths) / T; 0 when T is 0.
   double avg_concurrency() const;
@@ -156,10 +158,9 @@ class OverlapConsumer final : public MetricConsumer {
  private:
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
-  detail::IntervalSweep sweep_;
-  bool sweep_bound_ = false;
+  IntervalUnion union_;
+  detail::IntervalSweep sweep_;  ///< peak concurrency only
   bool any_interval_ = false;
-  std::int64_t busy_ns_ = 0;
   std::int64_t sum_len_ns_ = 0;
   std::int64_t lo_ns_ = 0;
   std::int64_t hi_ns_ = 0;
@@ -211,9 +212,9 @@ class ConcurrencyProfileConsumer final : public MetricConsumer {
 };
 
 /// Windowed timeline builder (metrics::build_timeline) with O(windows)
-/// state: per-window streaming interval merge instead of per-window interval
-/// lists. Window bounds default to the stream's span; explicit bounds come
-/// from the analysis filter.
+/// state: one interval-union kernel per window instead of per-window
+/// interval lists. Window bounds default to the stream's span; explicit
+/// bounds come from the analysis filter.
 class TimelineConsumer final : public MetricConsumer {
  public:
   TimelineConsumer(SimDuration window,
@@ -227,11 +228,9 @@ class TimelineConsumer final : public MetricConsumer {
   Timeline take() { return std::move(timeline_); }
 
  private:
-  struct WindowMerge {
-    std::int64_t cur_start_ns = 0;
-    std::int64_t cur_end_ns = 0;
-    bool open = false;
-    std::int64_t busy_ns = 0;
+  /// One window's clipped intervals: their union and their total length.
+  struct WindowBusy {
+    IntervalUnion busy;
     std::int64_t sum_len_ns = 0;
   };
 
@@ -244,7 +243,7 @@ class TimelineConsumer final : public MetricConsumer {
   std::int64_t max_end_ = 0;
   bool any_ = false;
   Timeline timeline_;
-  std::vector<WindowMerge> merges_;
+  std::vector<WindowBusy> busy_;
 };
 
 /// Applies an arbitrary callback per record — the escape hatch for analyses
@@ -301,10 +300,10 @@ class MetricPipeline {
 };
 
 /// Compute a full MetricSample from an ordered record stream in one pass and
-/// bounded memory — the streaming equivalent of measure_run(). The union T
-/// is algorithm-independent (every overlap implementation computes the same
-/// integer measure — see overlap.hpp), so there is no OverlapAlgorithm knob
-/// here; the differential tests assert equality against both batch choices.
+/// bounded memory — the streaming equivalent of measure_run(). T is the
+/// integer union measure every overlap implementation computes (see
+/// overlap.hpp); the differential tests assert equality against the Figure-3
+/// transcription and the sort-and-merge.
 Result<MetricSample> measure_stream(trace::RecordSource& source,
                                     Bytes moved_bytes, SimDuration exec_time,
                                     Bytes block_size = kDefaultBlockSize);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "metrics/calculators.hpp"
+#include "metrics/overlap.hpp"
 #include "trace/trace_collector.hpp"
 
 namespace bpsio::metrics {
@@ -65,8 +66,9 @@ TEST(Bps, PaperAndMergedAlgorithmsAgree) {
       make_record(3, 10, SimTime(2 * kMs), SimTime(6 * kMs)),
       make_record(4, 10, SimTime(7 * kMs), SimTime(9 * kMs)),
   });
-  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, OverlapAlgorithm::paper),
-                   bps(c, kDefaultBlockSize, OverlapAlgorithm::merged));
+  EXPECT_DOUBLE_EQ(static_cast<double>(c.total_blocks()) /
+                       overlap_time_paper(c.col_time()).seconds(),
+                   bps(c, kDefaultBlockSize));
 }
 
 TEST(Iops, CountOverPeriod) {
@@ -187,8 +189,7 @@ TEST(Filters, BpsRestrictedToOneProcess) {
   });
   trace::RecordFilter f;
   f.pid = 2;
-  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, OverlapAlgorithm::merged, f),
-                   300.0);
+  EXPECT_DOUBLE_EQ(bps(c, kDefaultBlockSize, f), 300.0);
 }
 
 }  // namespace

@@ -17,14 +17,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/format.hpp"
+#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "common/wallclock.hpp"
 #include "metrics/calculators.hpp"
+#include "metrics/overlap.hpp"
 #include "metrics/pipeline.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
@@ -258,6 +262,68 @@ TEST(CaptureE2E, EmptyCaptureReportsZero) {
   EXPECT_EQ(row[4], "0");
   EXPECT_EQ(header[5], "T_s");
   EXPECT_EQ(row[5], "0.000000");
+  std::filesystem::remove_all(trace_dir);
+}
+
+TEST(CaptureE2E, PerPidReportMatchesPaper) {
+  const auto paths = binaries();
+  if (!paths) GTEST_SKIP() << "capture binaries not in environment";
+
+  // Two trace files whose pids interleave and overlap across files; every
+  // endpoint is a whole microsecond, so the 6-digit T_s column is exact.
+  const std::string trace_dir = make_temp_dir("per_pid");
+  Rng rng(11);
+  std::map<std::uint32_t, std::vector<trace::IoRecord>> by_pid;
+  for (int file = 0; file < 2; ++file) {
+    std::vector<trace::IoRecord> records;
+    for (int i = 0; i < 400; ++i) {
+      const auto pid = static_cast<std::uint32_t>(1 + rng.uniform_u64(5));
+      const auto start =
+          static_cast<std::int64_t>(rng.uniform_u64(200'000)) * 1000;
+      const auto len = static_cast<std::int64_t>(rng.uniform_u64(3'000)) * 1000;
+      records.push_back(trace::make_record(pid, 1 + rng.uniform_u64(64),
+                                           SimTime(start),
+                                           SimTime(start + len)));
+      by_pid[pid].push_back(records.back());
+    }
+    std::sort(records.begin(), records.end(),
+              [](const trace::IoRecord& a, const trace::IoRecord& b) {
+                return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                                : a.end_ns < b.end_ns;
+              });
+    trace::SpillWriter writer(trace_dir + "/bpsio-" + std::to_string(file) +
+                              ".bpstrace");
+    writer.append(records);
+    ASSERT_TRUE(writer.close().ok());
+  }
+
+  int exit_code = 0;
+  const std::string csv = run_and_read(
+      "'" + paths->report + "' '" + trace_dir + "' --csv --per-pid",
+      &exit_code);
+  ASSERT_EQ(exit_code, 0) << csv;
+  const std::vector<std::string> lines = split(csv, '\n');
+  const auto header_at = std::find(lines.begin(), lines.end(),
+                                   "pid,records,blocks,T_s,bps,arpt_s");
+  ASSERT_NE(header_at, lines.end()) << csv;
+  std::size_t rows = 0;
+  for (auto it = header_at + 1; it != lines.end() && !it->empty(); ++it) {
+    const std::vector<std::string> row = split(*it, ',');
+    ASSERT_EQ(row.size(), 6u) << *it;
+    const auto pid = static_cast<std::uint32_t>(std::stoul(row[0]));
+    ASSERT_EQ(by_pid.count(pid), 1u) << *it;
+    trace::TraceCollector collector;
+    collector.gather(by_pid[pid]);
+    EXPECT_EQ(row[1], std::to_string(by_pid[pid].size()));
+    EXPECT_EQ(row[2], std::to_string(collector.total_blocks()));
+    EXPECT_EQ(row[3],
+              fmt_double(
+                  metrics::overlap_time_paper(collector.col_time()).seconds(),
+                  6))
+        << "pid " << pid;
+    ++rows;
+  }
+  EXPECT_EQ(rows, by_pid.size());
   std::filesystem::remove_all(trace_dir);
 }
 

@@ -1,7 +1,7 @@
 // Differential tests: the streaming pipeline must be bit-identical to the
 // batch metric path — same B, T, BPS, ARPT (and timeline/profile) whether
 // records arrive from memory, a spilled trace file, or a k-way merge, and
-// whichever OverlapAlgorithm the batch side uses.
+// equal to the Figure-3 transcription (overlap_time_paper).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -72,7 +72,7 @@ void expect_identical(const metrics::MetricSample& a,
   EXPECT_DOUBLE_EQ(a.peak_concurrency, b.peak_concurrency);
 }
 
-TEST(MetricPipeline, StreamingTEqualsBothBatchOverlapAlgorithms) {
+TEST(MetricPipeline, StreamingTEqualsPaperAndMergedOverlap) {
   const auto c = messy_collector();
   auto source = trace::collector_source(c);
   metrics::OverlapConsumer overlap;
@@ -185,15 +185,11 @@ TEST(MetricPipeline, MeasureRunAndMeasureStreamAgree) {
   const auto c = messy_collector();
   const Bytes moved = 8 * kMiB;
   const SimDuration exec = SimDuration(1'000'000'000);
-  for (const auto algo : {metrics::OverlapAlgorithm::paper,
-                          metrics::OverlapAlgorithm::merged}) {
-    const auto batch = metrics::measure_run(c, moved, exec,
-                                            kDefaultBlockSize, algo);
-    auto source = trace::collector_source(c);
-    const auto stream = metrics::measure_stream(source, moved, exec);
-    ASSERT_TRUE(stream.ok());
-    expect_identical(batch, *stream);
-  }
+  const auto batch = metrics::measure_run(c, moved, exec, kDefaultBlockSize);
+  auto source = trace::collector_source(c);
+  const auto stream = metrics::measure_stream(source, moved, exec);
+  ASSERT_TRUE(stream.ok());
+  expect_identical(batch, *stream);
 }
 
 TEST(MetricPipeline, WindowedBpsMatchesBothBatchAlgorithms) {
@@ -202,10 +198,9 @@ TEST(MetricPipeline, WindowedBpsMatchesBothBatchAlgorithms) {
   f.window_start_ns = 500;
   f.window_end_ns = 4000;
   f.include_failed = false;
-  const double paper =
-      metrics::bps(c, kDefaultBlockSize, metrics::OverlapAlgorithm::paper, f);
-  const double merged =
-      metrics::bps(c, kDefaultBlockSize, metrics::OverlapAlgorithm::merged, f);
+  const double paper = static_cast<double>(c.total_blocks(f)) /
+                       metrics::overlap_time_paper(c.col_time(f)).seconds();
+  const double merged = metrics::bps(c, kDefaultBlockSize, f);
   EXPECT_GT(paper, 0.0);
   EXPECT_DOUBLE_EQ(paper, merged);
 
@@ -233,9 +228,7 @@ TEST(MetricPipeline, BpsMeterReadingMatchesBatchFormulas) {
   const auto col_time = c.col_time(f);
   EXPECT_DOUBLE_EQ(reading.io_time_s,
                    metrics::overlap_time_paper(col_time).seconds());
-  EXPECT_DOUBLE_EQ(reading.bps, metrics::bps(c, kDefaultBlockSize,
-                                             metrics::OverlapAlgorithm::paper,
-                                             f));
+  EXPECT_DOUBLE_EQ(reading.bps, metrics::bps(c, kDefaultBlockSize, f));
   EXPECT_EQ(reading.processes, c.process_count());
   EXPECT_DOUBLE_EQ(reading.idle_time_s,
                    metrics::idle_time(col_time).seconds());

@@ -202,7 +202,7 @@ TEST_P(OnlineReplayDifferential, MatchesOfflinePipelineExactly) {
   EXPECT_EQ(online.blocks(), collector.total_blocks());  // failed count in B
   EXPECT_EQ(online.busy_time(now).ns(), overlapped_io_time(collector).ns());
   EXPECT_EQ(online.busy_time(now).ns(),
-            overlapped_io_time(collector, OverlapAlgorithm::paper).ns());
+            overlap_time_paper(collector.col_time()).ns());
   EXPECT_DOUBLE_EQ(online.bps(now), bps(collector));
 }
 

@@ -1,14 +1,14 @@
-// Property-based differential tests for the parallel metric pipeline.
+// Property-based differential tests for the union implementations and the
+// pool-parallel trace merge.
 //
 // The paper ships its own oracle: three agreeing union implementations
-// (Figure-3 verbatim, sort-and-merge, O(n^2) brute force). The sharded
-// engine must match all of them exactly — not approximately — on every
-// input shape we can generate, at every pool width. The same differential
-// treatment covers the pool-parallel trace merge and chunked B accumulation.
+// (Figure-3 verbatim, sort-and-merge on the interval-union kernel, O(n^2)
+// brute force). They must match exactly — not approximately — on every
+// input shape we can generate. The same differential treatment covers the
+// pool-parallel trace merge at every pool width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -101,31 +101,14 @@ TEST(ThreadPool, ResolveThreadsFromConfig) {
   EXPECT_EQ(resolve_threads(Config{}, "threads", 4), 4u);
 }
 
-TEST(OverlapParallel, EmptyInput) {
-  for (std::size_t threads = 1; threads <= 8; ++threads) {
-    EXPECT_EQ(overlap_time_parallel({}, threads).ns(), 0);
-  }
-}
-
-TEST(OverlapParallel, PaperFigure2Example) {
-  const std::vector<TimeInterval> v{{0, 4}, {1, 2}, {2, 6}, {7, 9}};
-  ThreadPool pool(4);
-  EXPECT_EQ(overlap_time_parallel(v, pool).ns(), 8);
-}
-
 // The tentpole property: on thousands of seeded-random interval sets,
-// overlap_time_parallel at 1..8 threads equals merged, paper, and (on sets
-// small enough for O(n^2)) brute force — exactly.
+// merged equals paper and (on sets small enough for O(n^2)) brute force —
+// exactly.
 class OverlapParallelProperty
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OverlapParallelProperty, AllImplementationsAgree) {
   Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 1);
-  // Shared pools so 8 threads x dozens of sets stays cheap.
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (std::size_t t = 1; t <= 8; ++t) {
-    pools.push_back(std::make_unique<ThreadPool>(t));
-  }
   for (int round = 0; round < 60; ++round) {
     const std::size_t count = rng.uniform_u64(240);  // includes empty sets
     // Density sweep: tight ranges force heavy overlap, wide ranges gaps.
@@ -138,32 +121,18 @@ TEST_P(OverlapParallelProperty, AllImplementationsAgree) {
     const auto expected = overlap_time_merged(v).ns();
     EXPECT_EQ(overlap_time_paper(v).ns(), expected);
     EXPECT_EQ(overlap_time_bruteforce(v).ns(), expected);
-    for (auto& pool : pools) {
-      EXPECT_EQ(overlap_time_parallel(v, *pool).ns(), expected)
-          << "threads=" << pool->size() << " count=" << v.size()
-          << " range=" << range;
-    }
   }
 }
 
-// Large sets cross the sharded engine's serial-fallback cutoff, so the
-// k-way merge path itself is exercised (brute force sits this one out).
+// Large dense and sparse sets (brute force sits this one out).
 TEST_P(OverlapParallelProperty, ShardedPathMatchesOnLargeSets) {
   Rng rng(GetParam() ^ 0x5eedULL);
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (std::size_t t : {2u, 3u, 5u, 8u}) {
-    pools.push_back(std::make_unique<ThreadPool>(t));
-  }
   const std::size_t count = 20'000 + rng.uniform_u64(20'000);
   const auto dense = random_set(rng, count, 500'000, 2'000);
   const auto sparse = random_set(rng, count, 1'000'000'000, 100);
   for (const auto& v : {dense, sparse}) {
     const auto expected = overlap_time_merged(v).ns();
     EXPECT_EQ(overlap_time_paper(v).ns(), expected);
-    for (auto& pool : pools) {
-      EXPECT_EQ(overlap_time_parallel(v, *pool).ns(), expected)
-          << "threads=" << pool->size();
-    }
   }
 }
 
@@ -232,33 +201,6 @@ TEST_P(MergeParallelProperty, MatchesSerialMergeAtEveryPoolWidth) {
         EXPECT_EQ(parallel, reference) << "threads=" << threads;
       }
     }
-  }
-}
-
-TEST_P(MergeParallelProperty, ChunkedBlockAccumulationIsExact) {
-  Rng rng(GetParam() + 0x8badULL);
-  trace::TraceCollector collector;
-  const std::size_t n = 3000 + rng.uniform_u64(9000);
-  for (std::size_t i = 0; i < n; ++i) {
-    trace::IoRecord r;
-    r.pid = static_cast<std::uint32_t>(rng.uniform_u64(16));
-    r.blocks = rng.uniform_u64(1 << 20);
-    r.start_ns = static_cast<std::int64_t>(rng.uniform_u64(1'000'000));
-    r.end_ns = r.start_ns + 10;
-    if (rng.uniform() < 0.1) r.flags = trace::kIoFailed;
-    collector.add(r);
-  }
-  trace::RecordFilter failed_excluded;
-  failed_excluded.include_failed = false;
-  trace::RecordFilter one_pid;
-  one_pid.pid = 3;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(collector.total_blocks_parallel(pool), collector.total_blocks());
-    EXPECT_EQ(collector.total_blocks_parallel(pool, failed_excluded),
-              collector.total_blocks(failed_excluded));
-    EXPECT_EQ(collector.total_blocks_parallel(pool, one_pid),
-              collector.total_blocks(one_pid));
   }
 }
 

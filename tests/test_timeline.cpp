@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "metrics/overlap.hpp"
 #include "metrics/timeline.hpp"
 
 namespace bpsio::metrics {
@@ -103,6 +108,55 @@ TEST(Timeline, ExplicitWindowBoundsClipTheSpan) {
   for (const auto& w : tl.windows) blocks += w.blocks;
   // Only the second half of phase 1 lies inside the window.
   EXPECT_NEAR(blocks, 1000.0, 1e-6);
+}
+
+// Every window's T equals the Figure-3 transcription run on the intervals
+// clipped to that window, on seeded random traces: dense and sparse,
+// zero-length and touching intervals, with default and explicit bounds.
+TEST(Timeline, PerWindowIoTimeMatchesPaperOnClippedIntervals) {
+  Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    trace::TraceCollector c;
+    const std::int64_t range = 1 + static_cast<std::int64_t>(
+        rng.uniform_u64(100'000));
+    const std::int64_t max_len =
+        1 + static_cast<std::int64_t>(rng.uniform_u64(5'000));
+    const std::size_t count = 1 + rng.uniform_u64(150);
+    std::int64_t prev_end = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      auto start = static_cast<std::int64_t>(
+          rng.uniform_u64(static_cast<std::uint64_t>(range)));
+      if (rng.uniform() < 0.1) start = prev_end;  // touches an earlier end
+      std::int64_t len = static_cast<std::int64_t>(
+          rng.uniform_u64(static_cast<std::uint64_t>(max_len)));
+      if (rng.uniform() < 0.1) len = 0;
+      c.add(make_record(static_cast<std::uint32_t>(i % 4), 1 + i % 7,
+                        SimTime(start), SimTime(start + len)));
+      prev_end = start + len;
+    }
+    const SimDuration window(
+        1 + static_cast<std::int64_t>(rng.uniform_u64(20'000)));
+    trace::RecordFilter f;
+    if (round % 2 == 1) {
+      f.window_start_ns = static_cast<std::int64_t>(
+          rng.uniform_u64(static_cast<std::uint64_t>(range)));
+      f.window_end_ns = *f.window_start_ns + 1 +
+                        static_cast<std::int64_t>(rng.uniform_u64(50'000));
+    }
+    const auto tl = build_timeline(c, window, f);
+    const auto col_time = c.col_time();
+    for (std::size_t i = 0; i < tl.windows.size(); ++i) {
+      const TimelineWindow& w = tl.windows[i];
+      std::vector<trace::TimeInterval> clipped;
+      for (const auto& iv : col_time) {
+        const std::int64_t s = std::max(iv.start_ns, w.start_ns);
+        const std::int64_t e = std::min(iv.end_ns, w.end_ns);
+        if (s < e) clipped.push_back({s, e});
+      }
+      EXPECT_EQ(w.io_time_s, overlap_time_paper(clipped).seconds())
+          << "round " << round << " window " << i;
+    }
+  }
 }
 
 TEST(ConcurrencyProfile, SplitsBusyTimeByLevel) {

@@ -54,6 +54,7 @@
 #include "common/result.hpp"
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
+#include "metrics/interval_union.hpp"
 #include "metrics/pipeline.hpp"
 #include "metrics/timeline.hpp"
 #include "trace/mapped_source.hpp"
@@ -171,15 +172,7 @@ class ObservingSource final : public trace::RecordSource {
     std::uint64_t records = 0;
     std::uint64_t blocks = 0;
     std::int64_t response_ns = 0;
-    std::int64_t busy_ns = 0;  ///< per-pid overlapped I/O time
-    metrics::detail::IntervalSweep sweep;
-
-    PidStats() {
-      sweep.on_segment = [this](std::int64_t t0, std::int64_t t1,
-                                std::size_t) { busy_ns += t1 - t0; };
-    }
-    PidStats(const PidStats&) = delete;
-    PidStats& operator=(const PidStats&) = delete;
+    metrics::IntervalUnion busy;  ///< per-pid overlapped I/O time
   };
 
   ObservingSource(trace::RecordSource& inner, bool want_per_pid,
@@ -199,12 +192,12 @@ class ObservingSource final : public trace::RecordSource {
       seen_pids_.insert(r.pid);
       if (want_per_pid_) {
         // The global stream is (start, end)-ordered, so each pid's
-        // subsequence is too — the per-pid sweeps see ordered input.
+        // subsequence is too — the per-pid unions see ordered input.
         PidStats& stats = pids_[r.pid];
         ++stats.records;
         stats.blocks += r.blocks;
         stats.response_ns += r.end_ns - r.start_ns;
-        if (r.end_ns > r.start_ns) stats.sweep.add(r.start_ns, r.end_ns);
+        if (r.end_ns > r.start_ns) stats.busy.add({r.start_ns, r.end_ns});
       }
     }
     return chunk;
@@ -222,11 +215,8 @@ class ObservingSource final : public trace::RecordSource {
   SimDuration span() const {
     return SimDuration(any_ ? hi_ns_ - lo_ns_ : 0);
   }
-  /// Ordered by pid for stable output (finishes the sweeps).
-  std::map<std::uint32_t, PidStats>& pids() {
-    for (auto& [pid, stats] : pids_) stats.sweep.finish();
-    return pids_;
-  }
+  /// Ordered by pid for stable output.
+  const std::map<std::uint32_t, PidStats>& pids() const { return pids_; }
 
  private:
   trace::RecordSource* inner_;
@@ -339,8 +329,8 @@ int run_report(const Options& opt) {
 
   if (opt.per_pid) {
     TextTable table({"pid", "records", "blocks", "T_s", "bps", "arpt_s"});
-    for (auto& [pid, stats] : observed.pids()) {
-      const double t_s = static_cast<double>(stats.busy_ns) / 1e9;
+    for (const auto& [pid, stats] : observed.pids()) {
+      const double t_s = static_cast<double>(stats.busy.measure_ns()) / 1e9;
       table.add_row(
           {std::to_string(pid), std::to_string(stats.records),
            std::to_string(stats.blocks), fmt_double(t_s, 6),
