@@ -1,14 +1,19 @@
 // Harness bench: interval-union overlap time (the Step-3 hot path), the
-// sort-and-merge on the interval-union kernel.
+// sort-and-merge on the interval-union kernel. Two records over the same
+// seeded random interval set, throughput in intervals/sec:
 //
-// Emits BENCH_overlap_union_serial.json. The per-op work is
-// overlap_time_merged over a fresh copy of the same seeded random interval
-// set; throughput is intervals/sec.
+//  * overlap_union_serial: overlap_time_merged over a fresh copy of the
+//    set — the copy, the sort and the kernel.
+//  * overlap_union_kernel: the kernel alone (metrics::IntervalUnion) over a
+//    copy sorted once, before timing starts.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
+#include "metrics/interval_union.hpp"
 #include "metrics/overlap.hpp"
 #include "trace/io_record.hpp"
 
@@ -53,12 +58,36 @@ int main(int argc, char** argv) {
 
   const std::map<std::string, std::string> extra = {
       {"records", std::to_string(n)}, {"profile", args.profile}};
-  const auto cfg = bench::make_harness_config("overlap_union_serial", args);
-  const bench::BenchHarness harness(cfg);
-  const auto result = harness.run([&] {
-    auto copy = intervals;
-    const auto t = metrics::overlap_time_merged(std::move(copy));
-    return t.ns() >= 0 ? static_cast<double>(n) : 0.0;
-  });
-  return bench::report_result(args, cfg, result, extra);
+  int rc = 0;
+  {
+    const auto cfg = bench::make_harness_config("overlap_union_serial", args);
+    const bench::BenchHarness harness(cfg);
+    const auto result = harness.run([&] {
+      auto copy = intervals;
+      const auto t = metrics::overlap_time_merged(std::move(copy));
+      return t.ns() >= 0 ? static_cast<double>(n) : 0.0;
+    });
+    rc |= bench::report_result(args, cfg, result, extra);
+  }
+  {
+    auto sorted = intervals;
+    std::sort(sorted.begin(), sorted.end(),
+              [](const trace::TimeInterval& a, const trace::TimeInterval& b) {
+                return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
+                                                : a.end_ns < b.end_ns;
+              });
+    const std::int64_t expected = metrics::overlap_time_merged(intervals).ns();
+    const auto cfg = bench::make_harness_config("overlap_union_kernel", args);
+    const bench::BenchHarness harness(cfg);
+    const auto result = harness.run([&] {
+      metrics::IntervalUnion u;
+      for (const auto& iv : sorted) u.add(iv);
+      BPSIO_CHECK(u.measure_ns() == expected, "kernel T %lld != %lld",
+                  static_cast<long long>(u.measure_ns()),
+                  static_cast<long long>(expected));
+      return static_cast<double>(n);
+    });
+    rc |= bench::report_result(args, cfg, result, extra);
+  }
+  return rc;
 }

@@ -18,15 +18,23 @@
 //       the mmap record carries `speedup_vs_ifstream`. Every timed drain
 //       reads every record (it sums the block counts) and must match the
 //       untimed checksum on record count and total blocks, or the bench
-//       fails.
+//       fails. A separate untimed-by-the-harness pass then splits one
+//       MappedTraceSource's cost into its parts (median of 5 mappings):
+//       construction (open, mmap, madvise, header check), the first touch of
+//       each page of the fresh mapping (its page faults), and the checksum
+//       read over pages already mapped. The mmap record carries them as
+//       map_ns_per_rec, fault_ns_per_rec and read_ns_per_rec.
 //
 // The rss smoke ctest runs --records=409600 (100x the in-memory default,
 // ~12.5 MiB on disk). Exit status is nonzero on any mismatch or an RSS
 // blowup, so CI catches a regression that quietly re-materializes the trace.
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -196,6 +204,65 @@ DrainTotals checksum_drain(trace::RecordSource& source) {
   return totals;
 }
 
+struct MmapSplit {
+  double map_ns = 0;    ///< per record: open, mmap, madvise, header check
+  double fault_ns = 0;  ///< per record: first touch of every page
+  double read_ns = 0;   ///< per record: checksum over faulted-in pages
+};
+
+MmapSplit mmap_split(const std::string& path, std::size_t chunk,
+                     const DrainTotals& expected) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kReps = 5;
+  constexpr std::size_t kRecordsPerPage = 4096 / sizeof(trace::IoRecord);
+  const auto ns = [](Clock::time_point a, Clock::time_point b) {
+    return static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+  };
+  std::vector<double> map, fault, read;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = Clock::now();
+    trace::MappedTraceSource source(path, chunk);
+    const auto t1 = Clock::now();
+    // The spans alias the mapping and live as long as the source, so they
+    // can be collected first (no record is touched) and walked twice.
+    std::vector<std::span<const trace::IoRecord>> spans;
+    for (auto c = source.next_chunk(); !c.empty(); c = source.next_chunk()) {
+      spans.push_back(c);
+    }
+    BPSIO_CHECK(source.status().ok(), "mmap split: %s",
+                source.status().error().message.c_str());
+    const auto t2 = Clock::now();
+    std::uint64_t touched = 0;
+    for (const auto& span : spans) {
+      for (std::size_t i = 0; i < span.size(); i += kRecordsPerPage) {
+        touched += span[i].blocks;
+      }
+      touched += span.back().blocks;
+    }
+    const auto t3 = Clock::now();
+    DrainTotals got;
+    for (const auto& span : spans) {
+      got.count += span.size();
+      for (const auto& record : span) got.blocks += record.blocks;
+    }
+    const auto t4 = Clock::now();
+    BPSIO_CHECK(touched > 0 && got.count == expected.count &&
+                    got.blocks == expected.blocks,
+                "mmap split drain disagrees with the checksum");
+    const auto per_rec = static_cast<double>(expected.count);
+    map.push_back(ns(t0, t1) / per_rec);
+    fault.push_back(ns(t2, t3) / per_rec);
+    read.push_back(ns(t3, t4) / per_rec);
+  }
+  const auto median = [](std::vector<double>& v) {
+    const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), mid, v.end());
+    return *mid;
+  };
+  return {median(map), median(fault), median(read)};
+}
+
 int run_throughput_mode(const bench::CommonBenchArgs& args,
                         const std::string& path, std::uint64_t records,
                         std::size_t chunk) {
@@ -247,15 +314,25 @@ int run_throughput_mode(const bench::CommonBenchArgs& args,
                              ? mmap_result.est.mean / ifstream_result.est.mean
                              : 0.0;
   std::printf("  mmap vs ifstream: %.2fx\n", speedup);
-  char speedup_str[32];
-  std::snprintf(speedup_str, sizeof speedup_str, "%.4f", speedup);
+  const MmapSplit split = mmap_split(path, chunk, expected);
+  std::printf("  mmap split (median of 5 mappings): map %.3f, fault %.3f, "
+              "read %.3f ns/record\n",
+              split.map_ns, split.fault_ns, split.read_ns);
+  const auto fmt = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.4f", v);
+    return std::string(buf);
+  };
 
   const std::map<std::string, std::string> shared = {
       {"records", std::to_string(records)},
       {"chunk", std::to_string(chunk)},
       {"profile", args.profile}};
   auto mmap_extra = shared;
-  mmap_extra.emplace("speedup_vs_ifstream", speedup_str);
+  mmap_extra.emplace("speedup_vs_ifstream", fmt(speedup));
+  mmap_extra.emplace("map_ns_per_rec", fmt(split.map_ns));
+  mmap_extra.emplace("fault_ns_per_rec", fmt(split.fault_ns));
+  mmap_extra.emplace("read_ns_per_rec", fmt(split.read_ns));
   int rc = bench::report_result(args, ifstream_cfg, ifstream_result, shared);
   rc |= bench::report_result(args, mmap_cfg, mmap_result, mmap_extra);
   return rc;

@@ -50,61 +50,21 @@ void FilteredConsumer::consume(std::span<const trace::IoRecord> chunk) {
 }
 
 // ---------------------------------------------------------------------------
-// IntervalSweep
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-void IntervalSweep::step(std::int64_t t, int delta) {
-  // Same event handling as the batch sweeps (peak_concurrency,
-  // concurrency_profile): emit the segment since the previous event while
-  // at the old level, then apply the level change.
-  if (active_ > 0 && t > prev_ && on_segment) on_segment(prev_, t, active_);
-  prev_ = t;
-  if (delta > 0) {
-    ++active_;
-    peak_ = std::max(peak_, active_);
-  } else {
-    --active_;
-  }
-}
-
-void IntervalSweep::add(std::int64_t start_ns, std::int64_t end_ns) {
-  // Retire every pending end <= this start first: the min-heap pops them in
-  // increasing time order, and an end equal to the start retires before the
-  // start — the batch comparator's "-1 before +1 at the same time" rule.
-  while (!ends_.empty() && ends_.top() <= start_ns) {
-    const std::int64_t t = ends_.top();
-    ends_.pop();
-    step(t, -1);
-  }
-  step(start_ns, +1);
-  ends_.push(end_ns);
-}
-
-void IntervalSweep::finish() {
-  while (!ends_.empty()) {
-    const std::int64_t t = ends_.top();
-    ends_.pop();
-    step(t, -1);
-  }
-}
-
-}  // namespace detail
-
-// ---------------------------------------------------------------------------
 // OverlapConsumer
 // ---------------------------------------------------------------------------
 
 void OverlapConsumer::consume(std::span<const trace::IoRecord> chunk) {
+  // col_time()'s window clamp: time inside the window only. Clamping a
+  // nondecreasing start sequence with max() keeps it nondecreasing, so the
+  // union's and the sweep's ordering requirement survives. An absent bound
+  // clamps to the int64 range, i.e. not at all.
+  const std::int64_t lo =
+      window_start_.value_or(std::numeric_limits<std::int64_t>::min());
+  const std::int64_t hi =
+      window_end_.value_or(std::numeric_limits<std::int64_t>::max());
   for (const auto& r : chunk) {
-    // col_time()'s window clamp: time inside the window only. Clamping a
-    // nondecreasing start sequence with max() keeps it nondecreasing, so
-    // the union's and the sweep's ordering requirement survives.
-    std::int64_t s = r.start_ns;
-    std::int64_t e = r.end_ns;
-    if (window_start_) s = std::max(s, *window_start_);
-    if (window_end_) e = std::min(e, *window_end_);
+    const std::int64_t s = std::max(r.start_ns, lo);
+    const std::int64_t e = std::min(r.end_ns, hi);
     if (e < s) continue;  // entirely outside the window
     if (!any_interval_) {
       any_interval_ = true;
@@ -139,29 +99,35 @@ SimDuration OverlapConsumer::idle_time() const {
 // ConcurrencyProfileConsumer
 // ---------------------------------------------------------------------------
 
+void ConcurrencyProfileConsumer::add_segment(std::int64_t t0, std::int64_t t1,
+                                             std::size_t level) {
+  if (at_level_.size() < level) at_level_.resize(level, 0.0);
+  const double span = static_cast<double>(t1 - t0) * 1e-9;
+  at_level_[level - 1] += span;
+  busy_total_ += span;
+}
+
 void ConcurrencyProfileConsumer::consume(std::span<const trace::IoRecord> chunk) {
-  if (!sweep_bound_) {
-    sweep_bound_ = true;
-    sweep_.on_segment = [this](std::int64_t t0, std::int64_t t1,
-                               std::size_t level) {
-      if (at_level_.size() < level) at_level_.resize(level, 0.0);
-      const double span = static_cast<double>(t1 - t0) * 1e-9;
-      at_level_[level - 1] += span;
-      busy_total_ += span;
-    };
-  }
+  const std::int64_t lo =
+      window_start_.value_or(std::numeric_limits<std::int64_t>::min());
+  const std::int64_t hi =
+      window_end_.value_or(std::numeric_limits<std::int64_t>::max());
+  const auto segment = [this](std::int64_t t0, std::int64_t t1,
+                              std::size_t level) {
+    add_segment(t0, t1, level);
+  };
   for (const auto& r : chunk) {
-    std::int64_t s = r.start_ns;
-    std::int64_t e = r.end_ns;
-    if (window_start_) s = std::max(s, *window_start_);
-    if (window_end_) e = std::min(e, *window_end_);
+    const std::int64_t s = std::max(r.start_ns, lo);
+    const std::int64_t e = std::min(r.end_ns, hi);
     if (e <= s) continue;  // zero measure contributes no time at any level
-    sweep_.add(s, e);
+    sweep_.add(s, e, segment);
   }
 }
 
 void ConcurrencyProfileConsumer::finish() {
-  sweep_.finish();
+  sweep_.finish([this](std::int64_t t0, std::int64_t t1, std::size_t level) {
+    add_segment(t0, t1, level);
+  });
   if (busy_total_ > 0) {
     for (double& v : at_level_) v /= busy_total_;
   }

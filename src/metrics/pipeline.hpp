@@ -25,10 +25,11 @@
 // via collector_source()/collector_view(), so both paths run the same code.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
-#include <queue>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -99,29 +100,57 @@ class ArptConsumer final : public MetricConsumer {
 
 namespace detail {
 
-/// Streaming interval sweep — the OnlineBpsCounter transition logic with a
-/// pending-ends min-heap. Feed [s, e) intervals with nondecreasing s; emits
-/// every maximal constant-concurrency segment in chronological order (ends
-/// retire before a start at the same timestamp, matching the batch event
-/// sweep's "-1 before +1" tie rule). Zero-length intervals must be skipped
-/// by the caller, as the batch sweeps do.
+/// Streaming interval sweep — the OnlineBpsCounter transition logic over a
+/// min-heap of pending end times. Feed [s, e) intervals with nondecreasing
+/// s; tracks the active count and its peak, and hands every maximal
+/// constant-concurrency segment to the caller's `on_segment(t0, t1, level)`
+/// (level >= 1) in chronological order. Ends retire before a start at the
+/// same timestamp, matching the batch event sweep's "-1 before +1" tie rule.
+/// Zero-length intervals must be skipped by the caller, as the batch sweeps
+/// do. The callback is a template parameter, so the peak-only sweep compiles
+/// to the count update alone.
 class IntervalSweep {
  public:
-  /// Called for each segment [t0, t1) spent at `level` >= 1 active
-  /// intervals, chronologically. Set before the first add().
-  std::function<void(std::int64_t t0, std::int64_t t1, std::size_t level)>
-      on_segment;
+  template <typename OnSegment>
+  void add(std::int64_t start_ns, std::int64_t end_ns,
+           OnSegment&& on_segment) {
+    retire_through(start_ns, on_segment);
+    if (active_ > 0 && start_ns > prev_) on_segment(prev_, start_ns, active_);
+    prev_ = start_ns;
+    peak_ = std::max(peak_, ++active_);
+    ends_.push_back(end_ns);
+    std::push_heap(ends_.begin(), ends_.end(), std::greater<>{});
+  }
+  void add(std::int64_t start_ns, std::int64_t end_ns) {
+    add(start_ns, end_ns, [](std::int64_t, std::int64_t, std::size_t) {});
+  }
 
-  void add(std::int64_t start_ns, std::int64_t end_ns);
-  void finish();
+  /// Retire every pending end.
+  template <typename OnSegment>
+  void finish(OnSegment&& on_segment) {
+    retire_through(std::numeric_limits<std::int64_t>::max(), on_segment);
+  }
+  void finish() {
+    finish([](std::int64_t, std::int64_t, std::size_t) {});
+  }
 
   std::size_t peak() const { return peak_; }
 
  private:
-  void step(std::int64_t t, int delta);
+  /// Retire every pending end <= t, in increasing time order.
+  template <typename OnSegment>
+  void retire_through(std::int64_t t, OnSegment& on_segment) {
+    while (!ends_.empty() && ends_.front() <= t) {
+      const std::int64_t end = ends_.front();
+      std::pop_heap(ends_.begin(), ends_.end(), std::greater<>{});
+      ends_.pop_back();
+      if (end > prev_) on_segment(prev_, end, active_);
+      prev_ = end;
+      --active_;
+    }
+  }
 
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>,
-                      std::greater<>> ends_;
+  std::vector<std::int64_t> ends_;  ///< pending end times, min-heap
   std::size_t active_ = 0;
   std::size_t peak_ = 0;
   std::int64_t prev_ = 0;
@@ -203,10 +232,12 @@ class ConcurrencyProfileConsumer final : public MetricConsumer {
   const std::vector<double>& profile() const { return at_level_; }
 
  private:
+  /// Adds one sweep segment [t0, t1) at `level` to the profile.
+  void add_segment(std::int64_t t0, std::int64_t t1, std::size_t level);
+
   std::optional<std::int64_t> window_start_;
   std::optional<std::int64_t> window_end_;
   detail::IntervalSweep sweep_;
-  bool sweep_bound_ = false;
   std::vector<double> at_level_;
   double busy_total_ = 0;
 };

@@ -7,14 +7,16 @@ namespace bpsio::trace {
 namespace {
 
 // The canonical record order (PAPER.md §III.B / Figure 3): by start time,
-// ties by end time. Stable so equal keys keep their input order — this is
-// the same comparator merge_traces_parallel's per-source stage uses.
+// ties by end time.
+bool key_less(const IoRecord& a, const IoRecord& b) {
+  return a.start_ns < b.start_ns ||
+         (a.start_ns == b.start_ns && a.end_ns < b.end_ns);
+}
+
+// Stable so equal keys keep their input order — this is the same
+// comparator merge_traces_parallel's per-source stage uses.
 void sort_records(std::vector<IoRecord>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const IoRecord& a, const IoRecord& b) {
-                     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-                     return a.end_ns < b.end_ns;
-                   });
+  std::stable_sort(records.begin(), records.end(), key_less);
 }
 
 }  // namespace
@@ -183,68 +185,92 @@ bool MergedSource::refill(Child& child) {
 
 bool MergedSource::precedes(const IoRecord& a, std::uint32_t ia,
                             const IoRecord& b, std::uint32_t ib) {
-  if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
-  if (a.end_ns != b.end_ns) return a.end_ns < b.end_ns;
-  return ia < ib;
+  if (key_less(a, b)) return true;
+  return !key_less(b, a) && ia < ib;
+}
+
+bool MergedSource::find_lead(Child*& lead, const Child*& next) {
+  lead = nullptr;
+  next = nullptr;
+  for (Child& c : children_) {
+    if (c.pos >= c.view.size() && !refill(c)) continue;
+    if (lead == nullptr) {
+      lead = &c;
+      continue;
+    }
+    // Strict less, children scanned in index order: on a full (start, end)
+    // tie the lower child index stays ahead — the exact tiebreak of
+    // merge_traces_parallel's k-way stage.
+    const IoRecord& h = c.view[c.pos];
+    if (key_less(h, lead->view[lead->pos])) {
+      next = lead;
+      lead = &c;
+    } else if (next == nullptr || key_less(h, next->view[next->pos])) {
+      next = &c;
+    }
+  }
+  return lead != nullptr;
+}
+
+std::size_t MergedSource::run_length(const Child& lead,
+                                     const Child* next) const {
+  const auto rest = lead.view.subspan(
+      lead.pos, std::min(lead.view.size() - lead.pos, chunk_));
+  if (next == nullptr) return rest.size();
+  const IoRecord& head = next->view[next->pos];
+  return static_cast<std::size_t>(
+      std::partition_point(rest.begin(), rest.end(),
+                           [&](const IoRecord& r) {
+                             return precedes(r, lead.index, head, next->index);
+                           }) -
+      rest.begin());
 }
 
 std::span<const IoRecord> MergedSource::next_chunk() {
-  // Fast path: when the best child's ENTIRE remaining chunk precedes every
-  // other child's head, the merge would copy it out record by record only to
-  // reproduce it verbatim — pass the span through instead. This is the
-  // single-source case always, and the common case for drains whose spools
-  // barely interleave.
-  Child* best = nullptr;
-  bool sole_live = true;
-  for (Child& c : children_) {
-    if (c.pos >= c.view.size() && !refill(c)) continue;
-    if (best == nullptr) {
-      best = &c;
-      continue;
-    }
-    sole_live = false;
-    if (precedes(c.view[c.pos], c.index, best->view[best->pos], best->index)) {
-      best = &c;
-    }
-  }
-  if (best == nullptr) return {};  // all children exhausted (or failed)
-  bool wholesale = sole_live;
-  if (!sole_live) {
-    const IoRecord& last = best->view.back();
-    wholesale = true;
-    for (const Child& c : children_) {
-      if (&c == best || c.pos >= c.view.size()) continue;
-      if (!precedes(last, best->index, c.view[c.pos], c.index)) {
-        wholesale = false;
-        break;
-      }
-    }
-  }
-  if (wholesale) {
-    const auto pass = best->view.subspan(best->pos);
-    best->pos = best->view.size();
+  // Shortest run handed out as a zero-copy span.
+  constexpr std::size_t kPassThrough = 32;
+
+  // Run pass-through: the lead's records that merge before the runner-up's
+  // head (and so before every other live head) are exactly what the k-way
+  // merge would emit next. One binary search finds them; the lead's whole
+  // remaining chunk is the case run == left.
+  Child* lead = nullptr;
+  const Child* next = nullptr;
+  if (!find_lead(lead, next)) return {};  // all children exhausted (or failed)
+  const std::size_t run = run_length(*lead, next);
+  if (run >= kPassThrough || run == lead->view.size() - lead->pos) {
+    const auto pass = lead->view.subspan(lead->pos, run);
+    lead->pos += run;
     return pass;
   }
 
+  // Short run: merge record by record into out_. When one child has led
+  // kPassThrough times in a row and at least kPassThrough more of its
+  // records come next, the chunk ends there, so that run leaves whole on
+  // the next call instead of being copied. One check per streak.
   out_.clear();
+  const Child* streak_child = nullptr;
+  std::size_t streak = 0;
   while (out_.size() < chunk_) {
-    best = nullptr;
+    Child* best = nullptr;
     for (Child& c : children_) {
       if (c.pos >= c.view.size() && !refill(c)) continue;
       if (best == nullptr) {
         best = &c;
         continue;
       }
-      const IoRecord& a = c.view[c.pos];
-      const IoRecord& b = best->view[best->pos];
-      // Strict less, children scanned in index order: lower child index wins
-      // ties — the exact tiebreak of merge_traces_parallel's k-way stage.
-      if (a.start_ns < b.start_ns ||
-          (a.start_ns == b.start_ns && a.end_ns < b.end_ns)) {
-        best = &c;
-      }
+      // Strict less in index order: lower child index wins ties, as in
+      // find_lead.
+      if (key_less(c.view[c.pos], best->view[best->pos])) best = &c;
     }
     if (best == nullptr) break;
+    if (best != streak_child) {
+      streak_child = best;
+      streak = 0;
+    } else if (++streak == kPassThrough) {
+      find_lead(lead, next);  // lead == best: same scan, same tiebreak
+      if (run_length(*lead, next) >= kPassThrough) break;
+    }
     out_.push_back(best->view[best->pos++]);
   }
   return {out_.data(), out_.size()};

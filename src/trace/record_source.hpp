@@ -133,6 +133,16 @@ class SpilledTraceSource final : public RecordSource {
 /// apply exactly as in the batch merge (a child's first record carries its
 /// earliest start, since children are ordered). A failing child truncates
 /// the stream and surfaces through status().
+///
+/// The merge works in runs: the records of the leading child that merge
+/// before the runner-up's head. Each call scans the children once for the
+/// leading child and the runner-up and binary-searches the leading child's
+/// chunk once for its run. A run of at least 32 records (or the leading
+/// child's whole remaining chunk) leaves as one zero-copy span of the
+/// child's chunk. Shorter runs fall into a copy loop that scans every child
+/// for every record, as a plain k-way merge does; it ends its chunk early
+/// only where a run of at least 32 records follows. No chunk exceeds
+/// `chunk_records`.
 class MergedSource final : public RecordSource {
  public:
   explicit MergedSource(std::vector<std::unique_ptr<RecordSource>> children,
@@ -159,6 +169,14 @@ class MergedSource final : public RecordSource {
   };
 
   bool refill(Child& child);
+  /// The live child whose head merges first (`lead`) and the one whose head
+  /// merges next (`next`, nullptr when `lead` is the only live child),
+  /// refilling drained children on the way. False when all are exhausted.
+  bool find_lead(Child*& lead, const Child*& next);
+  /// How many of `lead`'s records, from its position and within its current
+  /// chunk capped at the merged chunk size, merge before `next`'s head (all
+  /// of them when `next` is nullptr).
+  std::size_t run_length(const Child& lead, const Child* next) const;
   /// True when record `a` of child `ia` merges strictly before record `b`
   /// of child `ib` — (start, end) order, full ties to the lower index.
   static bool precedes(const IoRecord& a, std::uint32_t ia, const IoRecord& b,

@@ -4,11 +4,13 @@
 // equal to the Figure-3 transcription (overlap_time_paper).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/bps_meter.hpp"
 #include "metrics/calculators.hpp"
 #include "metrics/overlap.hpp"
@@ -286,6 +288,107 @@ TEST(MetricPipeline, ConcurrencyProfileMatchesStreamedSweep) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_DOUBLE_EQ(consumer.profile()[i], batch[i]) << "level " << i + 1;
   }
+}
+
+// Seeded traces for the streaming sweep, all on a 10 ns grid so ends often
+// equal later starts (touching) and starts often repeat (identical starts);
+// about one interval in eight has zero length. Shapes: 0 — sparse, low
+// concurrency; 1 — dense random lengths, concurrency in the hundreds and
+// ends mostly out of start order; 2 — a sliding constant-length window, so
+// concurrency stays above 256 for thousands of in-order ends.
+std::vector<IoRecord> sweep_trace(int shape, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<IoRecord> records;
+  const std::size_t n = shape == 0 ? 2000 : 4000;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t start = 0;
+    std::int64_t len = 0;
+    switch (shape) {
+      case 0:
+        start = 10 * static_cast<std::int64_t>(rng.uniform_u64(2000));
+        len = 10 * static_cast<std::int64_t>(rng.uniform_u64(50));
+        break;
+      case 1:
+        start = 10 * static_cast<std::int64_t>(rng.uniform_u64(400));
+        len = 10 * static_cast<std::int64_t>(rng.uniform_u64(5000));
+        break;
+      default:
+        start = 10 * static_cast<std::int64_t>(i / 2 + rng.uniform_u64(3));
+        len = 3000;
+        break;
+    }
+    if (rng.uniform_u64(8) == 0) len = 0;
+    records.push_back(make_record(static_cast<std::uint32_t>(i % 4 + 1), 1,
+                                  SimTime(start), SimTime(start + len)));
+  }
+  return records;
+}
+
+// concurrency_profile by a sorted event list, independent of IntervalSweep:
+// ends before starts at equal times, one segment per gap between events.
+std::vector<double> event_sort_profile(const std::vector<IoRecord>& records) {
+  std::vector<std::pair<std::int64_t, int>> events;
+  for (const auto& r : records) {
+    if (r.end_ns <= r.start_ns) continue;
+    events.emplace_back(r.start_ns, +1);
+    events.emplace_back(r.end_ns, -1);
+  }
+  std::sort(events.begin(), events.end());
+  std::vector<double> at_level;
+  double busy = 0;
+  std::size_t active = 0;
+  std::int64_t prev = 0;
+  for (const auto& [t, delta] : events) {
+    if (active > 0 && t > prev) {
+      if (at_level.size() < active) at_level.resize(active, 0.0);
+      const double span = static_cast<double>(t - prev) * 1e-9;
+      at_level[active - 1] += span;
+      busy += span;
+    }
+    prev = t;
+    active = delta > 0 ? active + 1 : active - 1;
+  }
+  if (busy > 0) {
+    for (double& v : at_level) v /= busy;
+  }
+  return at_level;
+}
+
+TEST(MetricPipelineProperty, StreamingPeakAndProfileMatchBatchSweeps) {
+  std::size_t max_peak = 0;
+  for (int shape = 0; shape < 3; ++shape) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "shape=" << shape
+                                        << " seed=" << seed);
+      trace::TraceCollector c;
+      for (const auto& r : sweep_trace(shape, seed)) c.add(r);
+      std::vector<IoRecord> ordered(c.records().begin(), c.records().end());
+      std::stable_sort(ordered.begin(), ordered.end(),
+                       [](const IoRecord& a, const IoRecord& b) {
+                         return a.start_ns != b.start_ns
+                                    ? a.start_ns < b.start_ns
+                                    : a.end_ns < b.end_ns;
+                       });
+      // Small chunks: the sweep's pending ends must survive chunk breaks.
+      auto source = trace::VectorSource::view(ordered, /*chunk_records=*/7);
+      metrics::OverlapConsumer overlap;
+      metrics::ConcurrencyProfileConsumer profile;
+      metrics::MetricPipeline pipeline;
+      pipeline.attach(overlap).attach(profile);
+      ASSERT_TRUE(pipeline.run(source).ok());
+
+      const std::size_t batch_peak = metrics::peak_concurrency(c.col_time());
+      EXPECT_EQ(overlap.peak_concurrency(), batch_peak);
+      max_peak = std::max(max_peak, batch_peak);
+      const auto expected = event_sort_profile(ordered);
+      ASSERT_EQ(profile.profile().size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(profile.profile()[i], expected[i]) << "level " << i + 1;
+      }
+      EXPECT_EQ(metrics::concurrency_profile(c), expected);
+    }
+  }
+  EXPECT_GE(max_peak, 256u);
 }
 
 TEST(MetricPipeline, RejectsUnorderedStreams) {

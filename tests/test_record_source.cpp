@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "trace/merge.hpp"
 #include "trace/record_source.hpp"
@@ -276,6 +278,126 @@ TEST(MergedSource, SmallChunksPreserveTheSequence) {
   trace::MergedSource source(std::move(children), trace::MergeOptions{},
                              /*chunk_records=*/2);
   EXPECT_EQ(drain(source), batch);
+}
+
+// K sources whose records interleave in runs of `run_len`: each run goes to
+// a randomly chosen source, and about one record in eight also lands, with
+// the same (start, end) and a distinguishing block count, in another source
+// — a full cross-source tie the merge must break by source index.
+std::vector<std::vector<IoRecord>> run_traces(std::size_t k,
+                                              std::size_t run_len,
+                                              std::size_t total,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<IoRecord>> traces(k);
+  std::int64_t t = 0;
+  std::size_t emitted = 0;
+  while (emitted < total) {
+    const auto src = static_cast<std::size_t>(rng.uniform_u64(k));
+    for (std::size_t i = 0; i < run_len && emitted < total; ++i, ++emitted) {
+      t += static_cast<std::int64_t>(rng.uniform_u64(50));  // equal starts too
+      const auto len = static_cast<std::int64_t>(rng.uniform_u64(300));
+      traces[src].push_back(make_record(static_cast<std::uint32_t>(src + 1),
+                                        rng.uniform_u64(8) + 1, SimTime(t),
+                                        SimTime(t + len)));
+      if (rng.uniform_u64(8) == 0) {
+        const auto other = (src + 1 + rng.uniform_u64(k - 1)) % k;
+        traces[other].push_back(make_record(
+            static_cast<std::uint32_t>(other + 1), 100 + emitted % 7,
+            SimTime(t), SimTime(t + len)));
+      }
+    }
+  }
+  return traces;
+}
+
+TEST(MergedSourceProperty, RunsMatchBatchMergeAtEveryChunking) {
+  ThreadPool pool(2);
+  std::uint64_t seed = 1;
+  for (const std::size_t k : {2u, 3u, 8u}) {
+    for (const std::size_t run_len : {1u, 3u, 40u, 64u, 3000u}) {
+      const auto traces = run_traces(k, run_len,
+                                     std::max<std::size_t>(6000, 6 * run_len),
+                                     seed++);
+      for (const bool transform : {false, true}) {
+        trace::MergeOptions options;
+        options.alignment = transform ? trace::TimeAlignment::align_starts
+                                      : trace::TimeAlignment::keep;
+        options.pid_stride = transform ? 1000 : 0;
+        const auto batch = trace::merge_traces_parallel(traces, pool, options);
+        for (const std::size_t child_chunk : {1u, 7u, 16384u}) {
+          for (const std::size_t merged_chunk : {2u, 16384u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "k=" << k << " run=" << run_len
+                         << " transform=" << transform
+                         << " child_chunk=" << child_chunk
+                         << " merged_chunk=" << merged_chunk);
+            std::vector<std::unique_ptr<trace::RecordSource>> children;
+            for (const auto& t : traces) {
+              children.push_back(std::make_unique<trace::VectorSource>(
+                  trace::VectorSource::sorted(t, child_chunk)));
+            }
+            trace::MergedSource merged(std::move(children), options,
+                                       merged_chunk);
+            std::vector<IoRecord> streamed;
+            std::size_t oversized = 0;
+            for (auto chunk = merged.next_chunk(); !chunk.empty();
+                 chunk = merged.next_chunk()) {
+              if (chunk.size() > merged_chunk) ++oversized;
+              streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+            }
+            EXPECT_TRUE(merged.status().ok());
+            EXPECT_EQ(oversized, 0u);
+            ASSERT_EQ(streamed.size(), batch.size());
+            EXPECT_TRUE(streamed == batch);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A copied chunk ends before a run only when at least 32 more records of
+// it follow, and that run then leaves as a span over the child's storage;
+// a shorter remainder stays in the copied chunk.
+TEST(MergedSource, CopyLoopEndsOnlyBeforeALongRun) {
+  for (const std::int64_t run : {45, 100}) {
+    SCOPED_TRACE(::testing::Message() << "run=" << run);
+    // Merge order: a0, b0, then `run` records of a, then b's last record —
+    // the first call starts on a short run, so it enters the copy loop.
+    std::vector<IoRecord> a{make_record(1, 1, SimTime(0), SimTime(5))};
+    for (std::int64_t i = 0; i < run; ++i) {
+      a.push_back(make_record(1, 1, SimTime(2 + i), SimTime(5 + i)));
+    }
+    const std::vector<IoRecord> b{make_record(2, 1, SimTime(1), SimTime(5)),
+                                  make_record(2, 1, SimTime(1000),
+                                              SimTime(1005))};
+    std::vector<std::unique_ptr<trace::RecordSource>> children;
+    children.push_back(
+        std::make_unique<trace::VectorSource>(trace::VectorSource::view(a)));
+    children.push_back(
+        std::make_unique<trace::VectorSource>(trace::VectorSource::view(b)));
+    trace::MergeOptions untransformed;  // children served in place
+    untransformed.pid_stride = 0;
+    trace::MergedSource merged(std::move(children), untransformed);
+    std::vector<std::span<const IoRecord>> chunks;
+    for (auto chunk = merged.next_chunk(); !chunk.empty();
+         chunk = merged.next_chunk()) {
+      chunks.push_back(chunk);
+    }
+    if (run == 45) {
+      // 13 records would remain after the 32nd: all stay in one copy.
+      ASSERT_EQ(chunks.size(), 1u);
+      EXPECT_EQ(chunks[0].size(), a.size() + b.size());
+    } else {
+      // a0, b0 and 32 copied; the other 68 pass through uncopied.
+      ASSERT_EQ(chunks.size(), 3u);
+      EXPECT_EQ(chunks[0].size(), 34u);
+      EXPECT_EQ(chunks[1].size(), 68u);
+      EXPECT_EQ(chunks[1].data(), a.data() + 33);
+      EXPECT_EQ(chunks[2].size(), 1u);
+    }
+  }
 }
 
 TEST(MergedSource, NoChildrenIsEmpty) {

@@ -183,17 +183,23 @@ class ObservingSource final : public trace::RecordSource {
     const std::span<const trace::IoRecord> chunk = inner_->next_chunk();
     if (timeline_ != nullptr && !chunk.empty()) timeline_->consume(chunk);
     for (const trace::IoRecord& r : chunk) {
-      if (!any_) {
-        lo_ns_ = r.start_ns;
-        hi_ns_ = r.end_ns;
-        any_ = true;
+      if (!any_ || r.pid != last_pid_) {
+        // A thread's records come in runs, so the pid set and the per-pid
+        // map are touched only where the pid changes.
+        if (!any_) {
+          lo_ns_ = r.start_ns;
+          hi_ns_ = r.end_ns;
+          any_ = true;
+        }
+        last_pid_ = r.pid;
+        seen_pids_.insert(r.pid);
+        if (want_per_pid_) last_stats_ = &pids_[r.pid];
       }
       hi_ns_ = std::max(hi_ns_, r.end_ns);
-      seen_pids_.insert(r.pid);
       if (want_per_pid_) {
         // The global stream is (start, end)-ordered, so each pid's
         // subsequence is too — the per-pid unions see ordered input.
-        PidStats& stats = pids_[r.pid];
+        PidStats& stats = *last_stats_;
         ++stats.records;
         stats.blocks += r.blocks;
         stats.response_ns += r.end_ns - r.start_ns;
@@ -225,8 +231,10 @@ class ObservingSource final : public trace::RecordSource {
   bool any_ = false;
   std::int64_t lo_ns_ = 0;
   std::int64_t hi_ns_ = 0;
+  std::uint32_t last_pid_ = 0;  ///< pid of the previous record, once any_
   std::unordered_set<std::uint32_t> seen_pids_;
-  std::map<std::uint32_t, PidStats> pids_;
+  std::map<std::uint32_t, PidStats> pids_;  ///< nodes never move
+  PidStats* last_stats_ = nullptr;          ///< pids_[last_pid_] (per-pid)
 };
 
 int run_report(const Options& opt) {
