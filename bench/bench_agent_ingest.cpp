@@ -7,9 +7,11 @@
 // bulk window update per run). The measured workload is the wire stream
 // record_shipper produces: one pid per frame, frames cycling over 16 pids.
 //
+// Each aggregator keeps one sliding window per pid; the pid="all" row is
+// derived from them at render, so each record is spliced into one window.
 // Each sample decodes the pre-encoded stream and ingests it into a fresh
-// aggregator. A second harness pass measures the historical per-record
-// baseline (decode to a vector, then add(record) in a loop) on the same
+// aggregator. A second harness pass measures the per-record baseline
+// (decode to a vector, then one one-record span per record) on the same
 // wire bytes; the reported BENCH_agent_ingest.json carries
 // `speedup_vs_per_record`, and both paths must land on identical aggregator
 // state (csv_snapshot equality) or the bench fails.
@@ -33,10 +35,10 @@ constexpr std::size_t kRecordsPerFrame = 1024;  // one client flush per frame
 constexpr std::size_t kReadChunk = 64 * 1024;  // typical socket read size
 constexpr std::uint32_t kPids = 16;
 // Per-client inter-access gap and access length, in ns. Sparse short
-// accesses: the union of 16 such streams is patchy, so the global window
-// holds hundreds of disjoint busy intervals — the regime the batched
-// interval splice exists for (a per-record middle insert memmoves the tail
-// of the flat interval vector on every single record).
+// accesses: every pid window holds hundreds of disjoint busy intervals —
+// the regime the batched interval splice exists for (a per-record middle
+// insert memmoves the tail of the flat interval vector on every single
+// record).
 constexpr std::uint64_t kGapSpreadNs = 8000;
 constexpr std::uint64_t kLenSpreadNs = 120;
 // Window covering ~2 frame rounds: old enough that nothing from the
@@ -48,7 +50,7 @@ constexpr double kWindowMs =
 // One pid per frame, frames round-robin over 16 clients with independent
 // clocks: the shape a multi-client daemon actually sees. Each client ships
 // its own spill batches, so consecutive frames cover overlapping time
-// ranges — the global window receives heavily out-of-order record batches.
+// ranges, and the derived all row unions 16 overlapping run lists.
 std::vector<char> encode_workload(std::uint64_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<trace::IoRecord> frame;
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
     trace::FrameDecoder decoder;
     const trace::FrameDecoder::FrameSink sink =
         [&scalar](std::span<const trace::IoRecord> frame) {
-          for (const auto& record : frame) scalar.add(record);
+          for (const auto& record : frame) scalar.add({&record, 1});
         };
     feed_stream(wire, decoder, sink);
     BPSIO_CHECK(scalar.csv_snapshot() == batched_csv,
@@ -152,8 +154,8 @@ int main(int argc, char** argv) {
     return static_cast<double>(agg.records_total());
   });
 
-  // Baseline: decode to a scratch vector, then the historical add(record)
-  // loop. Measured with the same harness so the speedup compares converged
+  // Baseline: decode to a scratch vector, then one one-record span per
+  // record. Measured with the same harness so the speedup compares converged
   // means, but only the batched record is published.
   auto base_cfg = cfg;
   base_cfg.name = "agent_ingest_per_record";
@@ -170,7 +172,7 @@ int main(int argc, char** argv) {
     for (std::size_t off = 0; off < wire.size(); off += kReadChunk) {
       const std::size_t len = std::min(kReadChunk, wire.size() - off);
       (void)decoder.feed(wire.data() + off, len, sink);
-      for (const auto& record : scratch) agg.add(record);
+      for (const auto& record : scratch) agg.add({&record, 1});
       scratch.clear();
     }
     BPSIO_CHECK(decoder.status().ok(), "decoder poisoned mid-bench");

@@ -5,10 +5,16 @@
 // sockets: each connection owns a FrameDecoder, frames arrive round-robin
 // across connections (the order a poll loop services them), every completed
 // frame reaches TenantShards::ingest as one span — one shard-lock
-// acquisition plus one global-lock splice per frame. The parallel variant
+// acquisition and one tenant-window splice per frame. The parallel variant
 // splits the connections over worker threads sharing one TenantShards,
-// which is exactly the contention profile the shard design targets: tenants
-// hash to different shards, so only the fleet-wide window serializes.
+// which is exactly the contention profile the shard design targets:
+// tenants hash to different shards, and no fleet-wide state is written on
+// ingest (the tenant="all" row is derived at render).
+//
+// A third record, collector_render, times prometheus_text over 4 tenants
+// holding at least 1M live records: the scrape that derives the fleet row
+// by copying every tenant's busy-run list and merging them. Its unit is
+// renders per second; the bench also prints microseconds per render.
 //
 // Self-check before any timing: serial and parallel ingest must land on the
 // identical per-tenant CSV snapshot (the union-window state is
@@ -37,6 +43,7 @@ constexpr std::size_t kTenants = 4;
 constexpr std::size_t kShards = 8;
 constexpr std::uint64_t kGapSpreadNs = 8000;
 constexpr std::uint64_t kLenSpreadNs = 120;
+constexpr std::uint64_t kRenderRecords = 1'000'000;  // live at render
 
 std::string tenant_name(std::size_t agent) {
   return "tenant-" + std::to_string(agent % kTenants);
@@ -231,6 +238,45 @@ int main(int argc, char** argv) {
       return static_cast<double>(shards.records_total());
     });
     rc |= bench::report_result(args, cfg, result, extra);
+  }
+
+  // Render record: one scrape over a fleet state of at least 1M live
+  // records, spread over the same 16 connections and 4 tenants.
+  {
+    const std::uint64_t render_per_conn =
+        std::max<std::uint64_t>(per_conn, kRenderRecords / kAgents);
+    const std::uint64_t render_total = render_per_conn * kAgents;
+    std::uint64_t render_blocks = 0;
+    std::vector<std::vector<char>> render_wires;
+    for (std::size_t agent = 0; agent < kAgents; ++agent) {
+      render_wires.push_back(encode_connection(
+          agent, render_per_conn, static_cast<std::uint64_t>(args.seed),
+          &render_blocks));
+    }
+    collector::TenantShards shards = make_shards(render_total);
+    ingest_connections(shards, render_wires, 0, kAgents);
+    render_wires.clear();
+    const std::string live = "bpsio_window_records{tenant=\"all\"} " +
+                             std::to_string(render_total) + "\n";
+    BPSIO_CHECK(shards.prometheus_text({}).find(live) != std::string::npos,
+                "render does not show every live record");
+    std::printf("=== collector render: %llu live records, %zu tenants ===\n",
+                static_cast<unsigned long long>(render_total), kTenants);
+
+    auto cfg = bench::make_harness_config("collector_render", args);
+    cfg.unit = "renders_per_sec";
+    cfg.threads = 1;
+    const bench::BenchHarness harness(cfg);
+    const auto result = harness.run([&] {
+      const std::string text = shards.prometheus_text({});
+      BPSIO_CHECK(!text.empty(), "empty render");
+      return 1.0;
+    });
+    std::printf("  %.1f us per render\n",
+                result.est.mean > 0 ? 1e6 / result.est.mean : 0.0);
+    std::map<std::string, std::string> render_extra = extra;
+    render_extra["records"] = std::to_string(render_total);
+    rc |= bench::report_result(args, cfg, result, render_extra);
   }
   return rc;
 }

@@ -4,8 +4,8 @@
 // Two cases, both ingesting a pre-generated stream into a fresh
 // SlidingWindowMetrics per sample; throughput is ingested records/sec.
 //
-//  * window_ingest: shuffled arrival, one add(record) per record — the
-//    adversarial order, where expiry runs through the per-record heap.
+//  * window_ingest: shuffled arrival, one one-record span per record — the
+//    adversarial order, where every record is its own eviction run.
 //    Window length from --window. Emits BENCH_window_ingest.json.
 //  * window_ingest_frames: the shape a daemon sees — per-thread streams
 //    monotone in start and end, cut into 4096-record frames that
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     const bench::BenchHarness harness(cfg);
     const auto result = harness.run([&] {
       metrics::SlidingWindowMetrics live(window);
-      for (const auto& record : records) live.add(record);
+      for (const auto& record : records) live.add({&record, 1});
       BPSIO_CHECK(live.any(), "ingest produced no live window state");
       return static_cast<double>(records.size());
     });

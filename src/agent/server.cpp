@@ -32,15 +32,8 @@ Status AgentServer::start() {
   return forward_->connect();
 }
 
-TransportStats AgentServer::transport() const {
-  const ingest::Counters c = node_.counters();
-  TransportStats t;
-  t.clients_connected_total = c.connected_total;
-  t.clients_active = c.active;
-  t.frames_total = c.frames_total;
-  t.bad_frames_total = c.bad_frames_total;
-  if (forward_ != nullptr) t.forward = forward_->stats();
-  return t;
+ForwardStats AgentServer::forward_stats() const {
+  return forward_ != nullptr ? forward_->stats() : ForwardStats{};
 }
 
 ingest::Role::Sink AgentServer::open_stream(const std::string& /*tenant*/,
@@ -67,7 +60,7 @@ void AgentServer::finish() {
 
 std::string AgentServer::metrics_text(SimTime now) {
   aggregator_.advance(now);
-  return aggregator_.prometheus_text(transport());
+  return aggregator_.prometheus_text(transport(), forward_stats());
 }
 
 std::string AgentServer::csv_text(SimTime now) {

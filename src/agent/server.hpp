@@ -64,7 +64,9 @@ class AgentServer : private ingest::Role {
   int http_port() const { return node_.http_port(); }
 
   const MetricAggregator& aggregator() const { return aggregator_; }
-  TransportStats transport() const;
+  ingest::Counters transport() const { return node_.counters(); }
+  /// Upstream forwarding figures; `enabled` only with a forward target.
+  ForwardStats forward_stats() const;
 
  private:
   Sink open_stream(const std::string& tenant, std::uint64_t serial) override;

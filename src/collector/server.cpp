@@ -25,17 +25,6 @@ CollectorServer::CollectorServer(CollectorOptions options)
               options.block_size),
       node_(node_options(std::move(options)), *this) {}
 
-CollectorTransport CollectorServer::transport() const {
-  const ingest::Counters c = node_.counters();
-  CollectorTransport t;
-  t.agents_connected_total = c.connected_total;
-  t.agents_active = c.active;
-  t.frames_total = c.frames_total;
-  t.bad_frames_total = c.bad_frames_total;
-  t.streams_total = c.streams_total;
-  return t;
-}
-
 ingest::Role::Sink CollectorServer::open_stream(const std::string& tenant,
                                                 std::uint64_t /*serial*/) {
   TenantShards::Tenant* handle = shards_.handle(tenant);

@@ -73,7 +73,9 @@ class CollectorServer : private ingest::Role {
   int tcp_port() const { return node_.tcp_port(); }
 
   const TenantShards& shards() const { return shards_; }
-  CollectorTransport transport() const;
+  /// Rendering slides the windows, so it needs the state itself.
+  TenantShards& shards() { return shards_; }
+  ingest::Counters transport() const { return node_.counters(); }
 
  private:
   Sink open_stream(const std::string& tenant, std::uint64_t serial) override;

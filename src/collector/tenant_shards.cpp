@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -9,7 +10,7 @@ namespace bpsio::collector {
 
 TenantShards::TenantShards(std::size_t shard_count, SimDuration window,
                            Bytes block_size)
-    : window_(window), block_size_(block_size), global_(window) {
+    : window_(window), block_size_(block_size) {
   BPSIO_CHECK(shard_count > 0, "collector needs at least one shard");
   BPSIO_CHECK(block_size > 0, "collector block size must be positive");
   shards_.reserve(shard_count);
@@ -37,49 +38,46 @@ TenantShards::Tenant* TenantShards::handle(const std::string& name) {
 }
 
 void TenantShards::ingest(Tenant* tenant,
-                       std::span<const trace::IoRecord> records) {
+                          std::span<const trace::IoRecord> records) {
   BPSIO_CHECK(tenant != nullptr,
               "TenantShards::ingest without a tenant handle");
-  // One pass over the span counts outside any lock; the two critical
-  // sections below are a counter bump plus one span-batch window splice
-  // each. SlidingWindowMetrics::add(span) skips invalid records itself.
+  // Count outside the lock; add(span) skips invalid records itself.
   ingest::LifetimeCounters delta;
   const bool any_valid = delta.count(records) > 0;
-  {
-    Shard& shard = *shards_[tenant->shard];
-    MutexLock lock(shard.mu);
-    *tenant += delta;
-    if (any_valid) tenant->window.add(records);
-  }
-  {
-    MutexLock lock(global_mu_);
-    global_totals_ += delta;
-    if (any_valid) global_.add(records);
-  }
+  Shard& shard = *shards_[tenant->shard];
+  MutexLock lock(shard.mu);
+  *tenant += delta;
+  if (any_valid) tenant->window.add(records);
 }
 
-void TenantShards::advance_windows(SimTime now) {
+std::size_t TenantShards::advance_windows(SimTime now) {
+  // Two walks: find the edge, then advance to it. A frame ingested between
+  // them may move a window past the edge; advance() leaves it there.
+  SimTime edge = now;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    for (auto& [name, tenant] : shard->tenants) tenant->window.advance(now);
+    for (const auto& [name, tenant] : shard->tenants) {
+      if (tenant->window.any()) edge = std::max(edge, tenant->window.now());
+    }
   }
-  MutexLock lock(global_mu_);
-  global_.advance(now);
+  std::size_t live = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    for (auto& [name, tenant] : shard->tenants) {
+      tenant->window.advance(edge);
+      if (tenant->window.any()) ++live;
+    }
+  }
+  return live;
 }
 
-std::uint64_t TenantShards::records_total() const {
-  MutexLock lock(global_mu_);
-  return global_totals_.records_total;
-}
-
-std::uint64_t TenantShards::blocks_total() const {
-  MutexLock lock(global_mu_);
-  return global_totals_.blocks_total;
-}
-
-std::uint64_t TenantShards::invalid_total() const {
-  MutexLock lock(global_mu_);
-  return global_totals_.invalid_total;
+ingest::LifetimeCounters TenantShards::lifetime() const {
+  ingest::LifetimeCounters sum;
+  for (const auto& shard : shards_) {
+    MutexLock lock(shard->mu);
+    for (const auto& [name, tenant] : shard->tenants) sum += *tenant;
+  }
+  return sum;
 }
 
 std::uint64_t TenantShards::tenants_seen() const {
@@ -91,41 +89,53 @@ std::uint64_t TenantShards::tenants_seen() const {
   return total;
 }
 
-std::vector<TenantShards::TenantSnapshot> TenantShards::snapshot() const {
-  // Copy the counters and the fixed-size window totals out under each shard
-  // lock — plain field copies, whatever the window holds; the figures are
-  // computed from the copies after the lock is dropped. The critical
-  // sections call nothing in bpsio beyond the inline totals() accessor,
-  // which keeps them tiny and keeps the lock scopes leaves of the static
-  // call graph.
+std::vector<TenantShards::TenantSnapshot> TenantShards::rows() {
+  // The lock scopes call only the inline totals(), any() and busy_runs()
+  // accessors: leaves of the static call graph. Runs are copied only when
+  // two or more tenants hold records; one that starts to between the
+  // advance and this walk (concurrent ingest) forces one more walk.
+  const std::size_t live =
+      advance_windows(SimTime(std::numeric_limits<std::int64_t>::min()));
   std::vector<TenantSnapshot> out;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    for (const auto& [name, tenant] : shard->tenants) {
-      out.push_back(TenantSnapshot{name, *tenant, tenant->window.totals()});
+  std::vector<metrics::WindowTotals> keys;
+  std::vector<std::vector<trace::TimeInterval>> runs;
+  for (bool copy_runs = live > 1;; copy_runs = true) {
+    out.assign(1, TenantSnapshot{"all", {}, {}});
+    keys.clear();
+    runs.clear();
+    for (const auto& shard : shards_) {
+      MutexLock lock(shard->mu);
+      for (const auto& [name, tenant] : shard->tenants) {
+        out.push_back(TenantSnapshot{name, *tenant, tenant->window.totals()});
+        if (!tenant->window.any()) continue;
+        keys.push_back(out.back().window);
+        if (copy_runs) {
+          const std::span<const trace::TimeInterval> busy =
+              tenant->window.busy_runs();
+          runs.emplace_back(busy.begin(), busy.end());
+        }
+      }
     }
+    if (copy_runs || keys.size() < 2) break;
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(out.begin() + 1, out.end(),
             [](const TenantSnapshot& a, const TenantSnapshot& b) {
               return a.name < b.name;
             });
+  for (std::size_t i = 1; i < out.size(); ++i) out[0].totals += out[i].totals;
+  const std::vector<std::span<const trace::TimeInterval>> run_spans(
+      runs.begin(), runs.end());
+  out[0].window = metrics::combined_totals(keys, run_spans, window_);
   return out;
 }
 
-TenantShards::TenantSnapshot TenantShards::snapshot_global() const {
-  TenantSnapshot all{"all", {}, {}};
-  MutexLock lock(global_mu_);
-  all.totals = global_totals_;
-  all.window = global_.totals();
-  return all;
-}
-
-std::string TenantShards::prometheus_text(
-    const CollectorTransport& transport) const {
+std::string TenantShards::prometheus_text(const ingest::Counters& transport) {
   using ingest::family;
   using ingest::metric;
-  const std::vector<TenantSnapshot> tenants = snapshot();
-  const TenantSnapshot all = snapshot_global();
+  const std::vector<TenantSnapshot> all_then_tenants = rows();
+  const TenantSnapshot& all = all_then_tenants.front();
+  const std::span<const TenantSnapshot> tenants =
+      std::span(all_then_tenants).subspan(1);
 
   std::string out;
   out.reserve(4096 + tenants.size() * 1024);
@@ -146,9 +156,9 @@ std::string TenantShards::prometheus_text(
   }
 
   metric(out, "bpsio_agents_connected_total", "counter",
-         "Agent connections accepted.", transport.agents_connected_total);
+         "Agent connections accepted.", transport.connected_total);
   metric(out, "bpsio_agents_active", "gauge",
-         "Agent connections currently open.", transport.agents_active);
+         "Agent connections currently open.", transport.active);
   metric(out, "bpsio_frames_total", "counter",
          "Complete record frames decoded.", transport.frames_total);
   metric(out, "bpsio_bad_frames_total", "counter",
@@ -169,9 +179,7 @@ std::string TenantShards::prometheus_text(
   return out;
 }
 
-std::string TenantShards::csv_snapshot() const {
-  const std::vector<TenantSnapshot> tenants = snapshot();
-  const TenantSnapshot all = snapshot_global();
+std::string TenantShards::csv_snapshot() {
   std::string out =
       "tenant,records_total,blocks_total,window_records,window_blocks,"
       "window_io_s,window_bps,window_iops,window_bw_Bps,window_arpt_s\n";
@@ -182,8 +190,7 @@ std::string TenantShards::csv_snapshot() const {
     ingest::csv_cells(out, {t.window, block_size_});
     out += "\n";
   };
-  row(all);
-  for (const TenantSnapshot& t : tenants) row(t);
+  for (const TenantSnapshot& t : rows()) row(t);
   return out;
 }
 

@@ -10,21 +10,15 @@
 //  * tenants hash onto `shard_count` shards; each shard owns a mutex, the
 //    tenant map, and every tenant's lifetime counters + sliding window;
 //  * ingest is span-batched: one lock acquisition per decoded frame, not
-//    per record, so the critical sections stay tiny even under load;
-//  * the fleet-wide "all" window lives in its own slot with its own mutex,
-//    taken AFTER the tenant shard (one global lock order, enforced at
-//    runtime by the common/mutex.hpp lock-order detector in debug and
-//    sanitizer builds). The global interval union cannot be derived from
-//    per-tenant unions (busy intervals of different tenants overlap), so it
-//    is maintained directly; its lock is the designed serialization point
-//    and its hold time is one span-batch splice.
+//    per record, and no other lock;
+//  * the fleet row (tenant="all") is derived at render from the tenant
+//    windows, advanced to one right edge (metrics::combined_totals() says
+//    why that is exact).
 //
-// Rendering (Prometheus plaintext / CSV) walks the shards one lock at a
-// time and copies out each tenant's lifetime counters and fixed-size window
-// totals (metrics::WindowTotals) — a plain field copy, so a scrape's lock
-// hold time does not grow with the records a window holds — then computes
-// the figures and formats outside the locks, sorted by tenant name so the
-// output is deterministic.
+// Rendering walks the shards one lock at a time and copies out each
+// tenant's lifetime counters and fixed-size window totals — plus, only when
+// two or more tenants hold records, its busy-run list — then merges,
+// computes and formats outside the locks, sorted by tenant name.
 #pragma once
 
 #include <cstdint>
@@ -39,21 +33,11 @@
 #include "common/sim_time.hpp"
 #include "common/units.hpp"
 #include "ingest/exposition.hpp"
+#include "ingest/node.hpp"
 #include "metrics/online.hpp"
 #include "trace/io_record.hpp"
 
 namespace bpsio::collector {
-
-/// Transport-side counters the collector server owns (atomically updated by
-/// the accept loop and the I/O workers) but /metrics reports alongside the
-/// record metrics.
-struct CollectorTransport {
-  std::uint64_t agents_connected_total = 0;  ///< accepted connections ever
-  std::uint64_t agents_active = 0;           ///< currently-open connections
-  std::uint64_t frames_total = 0;            ///< complete data frames decoded
-  std::uint64_t bad_frames_total = 0;        ///< connections killed on a bad frame
-  std::uint64_t streams_total = 0;           ///< distinct (connection, stream id) spools
-};
 
 class TenantShards {
  public:
@@ -80,32 +64,33 @@ class TenantShards {
   Tenant* handle(const std::string& name);
 
   /// Span-batch ingest for one tenant: lifetime counters + tenant window
-  /// under the tenant's shard lock, then the fleet window under the global
-  /// lock. Invalid records (end < start) are counted and otherwise ignored,
-  /// exactly like MetricAggregator — a fleet daemon must not die on one
-  /// malformed producer.
+  /// under the tenant's shard lock. Invalid records (end < start) are
+  /// counted and otherwise ignored, exactly like MetricAggregator — a fleet
+  /// daemon must not die on one malformed producer.
   void ingest(Tenant* tenant, std::span<const trace::IoRecord> records);
 
-  /// Slide every window (tenants + fleet) forward to `now` (monotonic ns).
-  void advance_windows(SimTime now);
+  /// Slide every tenant window forward to one right edge: `now` (monotonic
+  /// ns), or the latest tenant window's own edge when that is later.
+  /// Returns how many tenant windows hold records (have ingested any).
+  std::size_t advance_windows(SimTime now);
 
   /// Fleet-wide lifetime sums (each one shard walk).
-  std::uint64_t records_total() const;
-  std::uint64_t blocks_total() const;
-  std::uint64_t invalid_total() const;
+  std::uint64_t records_total() const { return lifetime().records_total; }
+  std::uint64_t blocks_total() const { return lifetime().blocks_total; }
+  std::uint64_t invalid_total() const { return lifetime().invalid_total; }
   std::uint64_t tenants_seen() const;
 
   std::size_t shard_count() const { return shards_.size(); }
   SimDuration window() const { return window_; }
 
-  /// Prometheus plaintext exposition: fleet lifetime counters, transport
-  /// stats, and windowed gauges labelled tenant="all" plus one label set
-  /// per tenant (sorted by name).
-  std::string prometheus_text(const CollectorTransport& transport) const;
+  /// Prometheus plaintext exposition: lifetime and transport counters, and
+  /// windowed gauges labelled tenant="all" plus one label set per tenant
+  /// (sorted by name). Advances every window to one right edge first.
+  std::string prometheus_text(const ingest::Counters& transport);
 
   /// CSV snapshot: one row per tenant plus an "all" row, same windowed
   /// figures as /metrics prefixed with the lifetime record/block counters.
-  std::string csv_snapshot() const;
+  std::string csv_snapshot();
 
  private:
   struct Shard {
@@ -124,16 +109,15 @@ class TenantShards {
   };
 
   Shard& shard_for(const std::string& name);
-  /// Every tenant, sorted by name.
-  std::vector<TenantSnapshot> snapshot() const;
-  TenantSnapshot snapshot_global() const;
+  /// Every tenant's lifetime counters, summed.
+  ingest::LifetimeCounters lifetime() const;
+  /// The rows of one render, windows advanced to one right edge: the
+  /// derived "all" row first, then every tenant sorted by name.
+  std::vector<TenantSnapshot> rows();
 
   SimDuration window_;
   Bytes block_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable Mutex global_mu_;
-  metrics::SlidingWindowMetrics global_ BPSIO_GUARDED_BY(global_mu_);
-  ingest::LifetimeCounters global_totals_ BPSIO_GUARDED_BY(global_mu_);
 };
 
 }  // namespace bpsio::collector

@@ -6,7 +6,8 @@
 // it (reporting the closed run to the caller's sink) and opens the next.
 // measure_ns() is the exact integer union measure of everything added so far.
 // merge_intervals, OverlapConsumer, TimelineConsumer, bpsio_report's per-pid
-// T and SlidingWindowMetrics' splice all use it; overlap_time_paper (the
+// T, SlidingWindowMetrics' splice and combined_totals' k-way merge of the
+// per-key windows all use it; overlap_time_paper (the
 // Figure-3 transcription) and overlap_time_bruteforce stay separate as the
 // reference and the oracle the kernel is tested against.
 #pragma once

@@ -70,8 +70,7 @@ double WindowTotals::bandwidth_bps(Bytes block_size) const {
 
 namespace {
 
-// Heap order for the run-head and single-record min-heaps (earliest end on
-// top).
+// Heap order for the run-head min-heap (earliest end on top).
 constexpr auto end_later = [](const auto& a, const auto& b) {
   return a.end_ns > b.end_ns;
 };
@@ -93,39 +92,11 @@ std::int64_t SlidingWindowMetrics::window_start_ns() const {
   return now_ns - totals_.window_ns;
 }
 
-void SlidingWindowMetrics::count_in(const Live& live) {
-  ++totals_.records;
-  totals_.blocks += live.record_blocks;
-  totals_.response_sum_ns += live.response_ns;
-}
-
-void SlidingWindowMetrics::add(const trace::IoRecord& record) {
-  if (!record.valid()) return;  // end < start: never corrupt the union
-  if (!any_ || record.end_ns > totals_.now_ns) totals_.now_ns = record.end_ns;
-  any_ = true;
-  const std::int64_t ws = window_start_ns();
-  if (record.end_ns <= ws) {
-    evict();  // a late record older than the window changes nothing
-    return;
-  }
-  const Live live{record.end_ns, record.blocks,
-                  record.end_ns - record.start_ns};
-  count_in(live);
-  singles_.push_back(live);
-  std::push_heap(singles_.begin(), singles_.end(), end_later);
-  const std::int64_t clipped_start = std::max(record.start_ns, ws);
-  if (record.end_ns > clipped_start) {
-    const trace::TimeInterval iv{clipped_start, record.end_ns};
-    splice({&iv, 1});
-  }
-  evict();
-}
-
 void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
   // The window state is a function of the record multiset (the shuffled
   // differential tests prove order-independence), so a batch may advance
-  // `now` once, accumulate, union once, and evict once — equivalent to the
-  // per-record loop, minus all the intermediate searches.
+  // `now` once, accumulate, union once, and evict once — equivalent to
+  // one-record spans in turn, minus all the intermediate searches.
   std::int64_t max_end = std::numeric_limits<std::int64_t>::min();
   for (const trace::IoRecord& r : records) {
     if (r.valid() && r.end_ns > max_end) max_end = r.end_ns;
@@ -148,7 +119,9 @@ void SlidingWindowMetrics::add(std::span<const trace::IoRecord> records) {
     if (!r.valid() || r.end_ns <= ws) continue;
     if (!live.empty() && r.end_ns < live.back().end_ns) end_ordered = false;
     live.push_back(Live{r.end_ns, r.blocks, r.end_ns - r.start_ns});
-    count_in(live.back());
+    ++totals_.records;
+    totals_.blocks += r.blocks;
+    totals_.response_sum_ns += live.back().response_ns;
     const std::int64_t clipped_start = std::max(r.start_ns, ws);
     if (r.end_ns > clipped_start) {
       if (clipped_start < prev_start) start_ordered = false;
@@ -291,14 +264,6 @@ void SlidingWindowMetrics::evict_runs(std::int64_t ws) {
 void SlidingWindowMetrics::evict() {
   const std::int64_t ws = window_start_ns();
   if (!run_heads_.empty() && run_heads_.front().end_ns <= ws) evict_runs(ws);
-  while (!singles_.empty() && singles_.front().end_ns <= ws) {
-    std::pop_heap(singles_.begin(), singles_.end(), end_later);
-    const Live& gone = singles_.back();
-    --totals_.records;
-    totals_.blocks -= gone.record_blocks;
-    totals_.response_sum_ns -= gone.response_ns;
-    singles_.pop_back();
-  }
   // Clip the merged union at the window's left edge: drop fully-expired
   // intervals in one erase, clamp the straddler in place.
   std::size_t drop = 0;
@@ -317,6 +282,49 @@ void SlidingWindowMetrics::evict() {
 }
 
 void SlidingWindowMetrics::reset() { *this = SlidingWindowMetrics(window()); }
+
+WindowTotals combined_totals(
+    std::span<const WindowTotals> keys,
+    std::span<const std::span<const trace::TimeInterval>> runs,
+    SimDuration window) {
+  WindowTotals all;
+  all.window_ns = window.ns();
+  if (keys.empty()) return all;
+  if (keys.size() == 1) return keys.front();
+  all.now_ns = keys.front().now_ns;
+  for (const WindowTotals& key : keys) {
+    all.records += key.records;
+    all.blocks += key.blocks;
+    all.response_sum_ns += key.response_sum_ns;
+    all.now_ns = std::max(all.now_ns, key.now_ns);
+  }
+  BPSIO_CHECK(runs.size() == keys.size(),
+              "combined window needs every key's busy runs (%zu of %zu)",
+              runs.size(), keys.size());
+  // k-way merge in start order: a min-heap of the lists' unread rests,
+  // keyed on each rest's first run.
+  std::vector<std::span<const trace::TimeInterval>> rest;
+  for (const auto& list : runs) {
+    if (!list.empty()) rest.push_back(list);
+  }
+  const auto starts_later = [](const auto& a, const auto& b) {
+    return a.front().start_ns > b.front().start_ns;
+  };
+  std::make_heap(rest.begin(), rest.end(), starts_later);
+  IntervalUnion u;
+  while (!rest.empty()) {
+    std::pop_heap(rest.begin(), rest.end(), starts_later);
+    u.add(rest.back().front());
+    rest.back() = rest.back().subspan(1);
+    if (rest.back().empty()) {
+      rest.pop_back();
+    } else {
+      std::push_heap(rest.begin(), rest.end(), starts_later);
+    }
+  }
+  all.busy_ns = u.measure_ns();
+  return all;
+}
 
 std::string OnlineBpsCounter::to_string(SimTime now) const {
   char buf[160];

@@ -79,6 +79,7 @@ struct WindowTotals {
   std::int64_t now_ns = 0;           ///< right edge of the window
   std::int64_t window_ns = 0;        ///< window length W
 
+  SimDuration io_time() const { return SimDuration(busy_ns); }  ///< T
   double bps() const;             ///< B / T; 0 when T = 0
   double iops() const;            ///< records / window length
   double arpt_s() const;          ///< mean response time; 0 when empty
@@ -111,26 +112,24 @@ static_assert(std::is_trivially_copyable_v<WindowTotals>);
 ///    min-heap over run heads holds one entry per live run, not per record,
 ///    and eviction walks each expired run's prefix sequentially. Drained
 ///    runs are recycled with their capacity, so a steady stream touches no
-///    new memory. A per-record add() goes to a min-heap of single records
-///    by end time.
+///    new memory.
 ///
 /// Unlike the batch pipeline, add() accepts records in ANY arrival order —
 /// the daemon interleaves frames from many capture clients — and the result
 /// is order-independent: the window differential test feeds shuffled
 /// permutations and compares against overlap_time_paper/overlap_time_windowed
 /// on the same window. State is O(live records in window); totals() is O(1).
+/// A single record is a one-record span.
 class SlidingWindowMetrics {
  public:
   explicit SlidingWindowMetrics(SimDuration window);
 
-  /// Ingest one access record (any arrival order). Advances `now` to the
-  /// record's end when it is the latest seen. Records entirely older than
-  /// the window are ignored.
-  void add(const trace::IoRecord& record);
-
-  /// Batch ingest: final state is identical to add()-ing each record in
-  /// turn (the window state is a function of the record multiset — the
-  /// order-independence the differential tests prove). Exploits the
+  /// Ingest access records (any arrival order). Advances `now` to the
+  /// latest valid end seen; invalid records (end < start) and records
+  /// entirely older than the window are ignored. The window state is a
+  /// function of the record multiset and `now`, however the records are
+  /// split into spans (the order-independence the differential tests
+  /// prove). Exploits the
   /// per-connection ordering contract — a frame sorted by start time unions
   /// into the interval store with one hinted splice instead of a search per
   /// record, and a frame sorted by end becomes an eviction run without a
@@ -158,6 +157,9 @@ class SlidingWindowMetrics {
   SimDuration io_time() const { return SimDuration(totals_.busy_ns); }
   /// Every figure's inputs in one fixed-size struct (see WindowTotals).
   const WindowTotals& totals() const { return totals_; }
+  /// T's busy runs: disjoint, non-touching, sorted by start, all inside the
+  /// window; their lengths sum to io_time().
+  std::span<const trace::TimeInterval> busy_runs() const { return merged_; }
 
   double bps() const { return totals_.bps(); }
   double iops() const { return totals_.iops(); }
@@ -188,8 +190,6 @@ class SlidingWindowMetrics {
     std::uint32_t run;
   };
 
-  /// Count a live record into the totals.
-  void count_in(const Live& live);
   /// Union `sorted` (nonempty, in nondecreasing start order) into `merged_`
   /// with one splice over the affected slice.
   void splice(std::span<const trace::TimeInterval> sorted);
@@ -214,7 +214,18 @@ class SlidingWindowMetrics {
   std::vector<Run> runs_;                ///< run slots, live or free
   std::vector<std::uint32_t> free_runs_;  ///< drained slots to reuse
   std::vector<RunHead> run_heads_;       ///< min-heap on end_ns
-  std::vector<Live> singles_;            ///< add(record)s: min-heap on end_ns
 };
+
+/// The daemons' "all" row: several keys' windows, advanced to one right
+/// edge, as one window. `keys` holds their totals(), `runs` their
+/// busy_runs() (any order; unread for one key, which is its own total).
+/// Exact: records, blocks and response sums add; T is the union of the
+/// run lists, k-way merged into one IntervalUnion, and the union of per-key
+/// unions is the union of every record's interval. A record a key dropped
+/// as too old is too old here too: this window's edge is never earlier.
+WindowTotals combined_totals(
+    std::span<const WindowTotals> keys,
+    std::span<const std::span<const trace::TimeInterval>> runs,
+    SimDuration window);
 
 }  // namespace bpsio::metrics

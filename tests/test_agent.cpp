@@ -26,6 +26,8 @@
 #include "agent/aggregator.hpp"
 #include "common/rng.hpp"
 #include "agent/server.hpp"
+#include "metrics/online.hpp"
+#include "metrics/overlap.hpp"
 #include "metrics/pipeline.hpp"
 #include "trace/frame.hpp"
 #include "trace/mapped_source.hpp"
@@ -43,17 +45,22 @@ MetricAggregator make_aggregator() {
   return MetricAggregator(SimDuration::from_ms(100), kBlock);
 }
 
+/// One record, as the one-record span a frame of one would be.
+void add_one(MetricAggregator& agg, const IoRecord& record) {
+  agg.add({&record, 1});
+}
+
 TEST(Aggregator, LifetimeTotalsAndFlagCounters) {
   MetricAggregator agg = make_aggregator();
-  agg.add(make_record(1, 8, SimTime(0), SimTime(1000)));
-  agg.add(make_record(1, 4, SimTime(2000), SimTime(3000), trace::IoOpKind::write,
+  add_one(agg, make_record(1, 8, SimTime(0), SimTime(1000)));
+  add_one(agg, make_record(1, 4, SimTime(2000), SimTime(3000), trace::IoOpKind::write,
                       trace::kIoFailed));
-  agg.add(make_record(2, 0, SimTime(3000), SimTime(4000), trace::IoOpKind::write,
+  add_one(agg, make_record(2, 0, SimTime(3000), SimTime(4000), trace::IoOpKind::write,
                       trace::kIoSync));
 
   IoRecord bad = make_record(2, 16, SimTime(9000), SimTime(8000));
   ASSERT_FALSE(bad.valid());
-  agg.add(bad);
+  add_one(agg, bad);
 
   EXPECT_EQ(agg.records_total(), 3u);
   EXPECT_EQ(agg.blocks_total(), 12u);  // failed accesses count toward B
@@ -61,17 +68,17 @@ TEST(Aggregator, LifetimeTotalsAndFlagCounters) {
   EXPECT_EQ(agg.sync_total(), 1u);
   EXPECT_EQ(agg.invalid_total(), 1u);  // counted, not ingested
   EXPECT_EQ(agg.pids_seen(), 2u);
-  EXPECT_EQ(agg.global().accesses(), 3u);
+  EXPECT_EQ(agg.global().records, 3u);
 }
 
 TEST(Aggregator, PerPidWindowsPartitionTheGlobalStream) {
   MetricAggregator agg = make_aggregator();
-  agg.add(make_record(10, 8, SimTime(0), SimTime(1000)));
-  agg.add(make_record(10, 8, SimTime(1000), SimTime(2000)));
-  agg.add(make_record(20, 4, SimTime(500), SimTime(1500)));
+  add_one(agg, make_record(10, 8, SimTime(0), SimTime(1000)));
+  add_one(agg, make_record(10, 8, SimTime(1000), SimTime(2000)));
+  add_one(agg, make_record(20, 4, SimTime(500), SimTime(1500)));
 
   EXPECT_EQ(agg.pids_seen(), 2u);
-  EXPECT_EQ(agg.global().blocks(), 20u);
+  EXPECT_EQ(agg.global().blocks, 20u);
   // Per-pid figures show up in the snapshot with their own labels.
   const std::string csv = agg.csv_snapshot();
   EXPECT_NE(csv.find("\nall,3,20,"), std::string::npos);
@@ -81,9 +88,9 @@ TEST(Aggregator, PerPidWindowsPartitionTheGlobalStream) {
 
 TEST(Aggregator, AdvanceExpiresWindowsButKeepsTotals) {
   MetricAggregator agg = make_aggregator();
-  agg.add(make_record(1, 8, SimTime(0), SimTime(1000)));
+  add_one(agg, make_record(1, 8, SimTime(0), SimTime(1000)));
   agg.advance(SimTime::from_seconds(10));
-  EXPECT_EQ(agg.global().accesses(), 0u);
+  EXPECT_EQ(agg.global().records, 0u);
   EXPECT_EQ(agg.global().io_time().ns(), 0);
   EXPECT_EQ(agg.records_total(), 1u);
   EXPECT_EQ(agg.blocks_total(), 8u);
@@ -91,12 +98,12 @@ TEST(Aggregator, AdvanceExpiresWindowsButKeepsTotals) {
 
 TEST(Aggregator, PrometheusTextCarriesCountersAndLabels) {
   MetricAggregator agg = make_aggregator();
-  agg.add(make_record(7, 8, SimTime(0), SimTime(1000)));
-  agg.add(make_record(7, 8, SimTime(1000), SimTime(2000)));
+  add_one(agg, make_record(7, 8, SimTime(0), SimTime(1000)));
+  add_one(agg, make_record(7, 8, SimTime(1000), SimTime(2000)));
 
-  TransportStats transport;
-  transport.clients_connected_total = 3;
-  transport.clients_active = 1;
+  ingest::Counters transport;
+  transport.connected_total = 3;
+  transport.active = 1;
   transport.frames_total = 5;
   const std::string text = agg.prometheus_text(transport);
 
@@ -119,7 +126,7 @@ TEST(Aggregator, PrometheusTextCarriesCountersAndLabels) {
 
 TEST(Aggregator, CsvSnapshotHasHeaderAndOneRowPerPid) {
   MetricAggregator agg = make_aggregator();
-  agg.add(make_record(3, 8, SimTime(0), SimTime(1000)));
+  add_one(agg, make_record(3, 8, SimTime(0), SimTime(1000)));
   const std::string csv = agg.csv_snapshot();
   EXPECT_EQ(csv.rfind("pid,window_records,window_blocks,window_io_s,"
                       "window_bps,window_iops,window_bw_Bps,window_arpt_s\n",
@@ -150,7 +157,7 @@ TEST(Aggregator, SpanBatchMatchesPerRecordIngest) {
   }
 
   MetricAggregator scalar = make_aggregator();
-  for (const IoRecord& r : records) scalar.add(r);
+  for (const IoRecord& r : records) add_one(scalar, r);
 
   MetricAggregator batched = make_aggregator();
   std::span<const IoRecord> rest(records);
@@ -169,7 +176,7 @@ TEST(Aggregator, SpanBatchMatchesPerRecordIngest) {
   EXPECT_EQ(batched.invalid_total(), scalar.invalid_total());
   EXPECT_EQ(batched.pids_seen(), scalar.pids_seen());
   EXPECT_EQ(batched.csv_snapshot(), scalar.csv_snapshot());
-  const TransportStats transport;
+  const ingest::Counters transport;
   EXPECT_EQ(batched.prometheus_text(transport),
             scalar.prometheus_text(transport));
 }
@@ -187,7 +194,59 @@ TEST(Aggregator, AllInvalidSpanCountsButCreatesNoWindows) {
   EXPECT_EQ(agg.invalid_total(), 4u);
   EXPECT_EQ(agg.records_total(), 0u);
   EXPECT_EQ(agg.pids_seen(), 0u);
-  EXPECT_FALSE(agg.global().any());
+  EXPECT_EQ(agg.global().records, 0u);
+}
+
+TEST(Aggregator, DerivedAllRowMatchesOneWindowFedEveryRecord) {
+  // The pid="all" row is derived from the per-pid windows. After every
+  // frame it must equal one window fed every record, and the batch union
+  // over that window. Even pids run three times slower than odd ones, so
+  // their windows lag the edge and later empty; the window evicts as the
+  // stream goes, and some records are invalid.
+  const SimDuration window(200'000);
+  for (const std::uint32_t pids : {1u, 2u, 16u}) {
+    Rng rng(1000 + pids);
+    MetricAggregator agg(window, kBlock);
+    metrics::SlidingWindowMetrics oracle(window);
+    std::vector<IoRecord> fed;
+    std::vector<std::int64_t> clock(pids, 0);
+    for (int frame = 0; frame < 400; ++frame) {
+      const auto pid = static_cast<std::uint32_t>(rng.uniform_u64(pids));
+      std::vector<IoRecord> records;
+      const std::size_t len = 1 + rng.uniform_u64(24);
+      for (std::size_t i = 0; i < len; ++i) {
+        clock[pid] += static_cast<std::int64_t>(
+            rng.uniform_u64(pid % 2 == 0 ? 3000 : 1000));
+        const std::int64_t start = clock[pid];
+        const auto length = static_cast<std::int64_t>(rng.uniform_u64(4000));
+        IoRecord r = make_record(pid + 1, rng.uniform_u64(16), SimTime(start),
+                                 SimTime(start + length));
+        if (rng.uniform_u64(16) == 0) std::swap(r.start_ns, r.end_ns);
+        records.push_back(r);
+      }
+      agg.add(records);
+      oracle.add(records);
+      fed.insert(fed.end(), records.begin(), records.end());
+
+      const metrics::WindowTotals all = agg.global();
+      const metrics::WindowTotals& want = oracle.totals();
+      ASSERT_EQ(all.records, want.records) << pids << " pids, frame " << frame;
+      ASSERT_EQ(all.blocks, want.blocks) << pids << " pids, frame " << frame;
+      ASSERT_EQ(all.response_sum_ns, want.response_sum_ns);
+      ASSERT_EQ(all.now_ns, want.now_ns);
+      ASSERT_EQ(all.busy_ns, want.busy_ns) << pids << " pids, frame " << frame;
+      std::vector<trace::TimeInterval> live;
+      for (const IoRecord& r : fed) {
+        if (r.valid() && r.end_ns > oracle.window_start_ns()) {
+          live.push_back({r.start_ns, r.end_ns});
+        }
+      }
+      ASSERT_EQ(all.busy_ns, metrics::overlap_time_windowed(
+                                 live, oracle.window_start_ns(), want.now_ns)
+                                 .ns());
+    }
+    EXPECT_LT(oracle.accesses(), agg.records_total() / 4);  // it evicted
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -326,8 +385,8 @@ TEST(AgentServer, SocketToMetricsToDrain) {
   // run() is over; the aggregator is safe to read directly now.
   EXPECT_EQ(server.aggregator().records_total(), 3u);
   EXPECT_EQ(server.aggregator().blocks_total(), 32u);
-  EXPECT_EQ(server.transport().clients_connected_total, 1u);
-  EXPECT_EQ(server.transport().clients_active, 0u);
+  EXPECT_EQ(server.transport().connected_total, 1u);
+  EXPECT_EQ(server.transport().active, 0u);
   EXPECT_EQ(server.transport().bad_frames_total, 0u);
 
   // The drain is a normal v2 trace holding exactly the shipped records in

@@ -28,7 +28,10 @@
 #include "agent/server.hpp"
 #include "collector/server.hpp"
 #include "collector/tenant_shards.hpp"
+#include "common/rng.hpp"
 #include "common/wallclock.hpp"
+#include "metrics/online.hpp"
+#include "metrics/overlap.hpp"
 #include "trace/frame.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
@@ -177,8 +180,8 @@ TEST(TenantShards, PerTenantAndFleetAccounting) {
   EXPECT_EQ(shards.invalid_total(), 1u);
   EXPECT_EQ(shards.tenants_seen(), 2u);
 
-  CollectorTransport transport;
-  transport.agents_active = 2;
+  ingest::Counters transport;
+  transport.active = 2;
   const std::string text = shards.prometheus_text(transport);
   EXPECT_NE(text.find("bpsio_records_total{tenant=\"all\"} 3\n"),
             std::string::npos);
@@ -216,13 +219,73 @@ TEST(TenantShards, AdvanceExpiresWindowsButKeepsTotals) {
   shards.ingest(tenant, records);
   shards.advance_windows(SimTime::from_seconds(10));
 
-  const std::string text = shards.prometheus_text(CollectorTransport{});
+  const std::string text = shards.prometheus_text(ingest::Counters{});
   EXPECT_NEAR(metric_value(text, "bpsio_window_records{tenant=\"t\"} "), 0.0,
               1e-12);
   EXPECT_NEAR(metric_value(text, "bpsio_window_records{tenant=\"all\"} "), 0.0,
               1e-12);
   EXPECT_EQ(shards.records_total(), 1u);
   EXPECT_EQ(shards.blocks_total(), 8u);
+}
+
+TEST(TenantShards, DerivedFleetRowMatchesOneWindowFedEveryRecord) {
+  // The tenant="all" row is derived from the tenant windows at render.
+  // After every frame it must equal one window fed every record, and the
+  // batch union over that window. Even tenants run three times slower than
+  // odd ones, so their windows lag the edge and later empty; the window
+  // evicts as the stream goes, and some records are invalid.
+  const SimDuration window(200'000);
+  for (const std::size_t count : {1u, 2u, 16u}) {
+    Rng rng(2000 + count);
+    TenantShards shards(4, window, kBlock);
+    std::vector<TenantShards::Tenant*> tenants;
+    for (std::size_t t = 0; t < count; ++t) {
+      tenants.push_back(shards.handle("t" + std::to_string(t)));
+    }
+    metrics::SlidingWindowMetrics oracle(window);
+    std::vector<IoRecord> fed;
+    std::vector<std::int64_t> clock(count, 0);
+    for (int frame = 0; frame < 400; ++frame) {
+      const auto t = static_cast<std::size_t>(rng.uniform_u64(count));
+      std::vector<IoRecord> records;
+      const std::size_t len = 1 + rng.uniform_u64(24);
+      for (std::size_t i = 0; i < len; ++i) {
+        clock[t] += static_cast<std::int64_t>(
+            rng.uniform_u64(t % 2 == 0 ? 3000 : 1000));
+        const std::int64_t start = clock[t];
+        const auto length = static_cast<std::int64_t>(rng.uniform_u64(4000));
+        IoRecord r = make_record(7, rng.uniform_u64(16), SimTime(start),
+                                 SimTime(start + length));
+        if (rng.uniform_u64(16) == 0) std::swap(r.start_ns, r.end_ns);
+        records.push_back(r);
+      }
+      shards.ingest(tenants[t], records);
+      oracle.add(records);
+      fed.insert(fed.end(), records.begin(), records.end());
+
+      const std::string text = shards.prometheus_text({});
+      const metrics::WindowTotals& want = oracle.totals();
+      ASSERT_EQ(metric_value(text, "bpsio_window_records{tenant=\"all\"} "),
+                static_cast<double>(want.records))
+          << count << " tenants, frame " << frame;
+      ASSERT_EQ(metric_value(text, "bpsio_window_blocks{tenant=\"all\"} "),
+                static_cast<double>(want.blocks));
+      ASSERT_NEAR(
+          metric_value(text, "bpsio_window_io_seconds{tenant=\"all\"} "),
+          static_cast<double>(want.busy_ns) * 1e-9, 0.5e-9)
+          << count << " tenants, frame " << frame;
+      std::vector<trace::TimeInterval> live;
+      for (const IoRecord& r : fed) {
+        if (r.valid() && r.end_ns > oracle.window_start_ns()) {
+          live.push_back({r.start_ns, r.end_ns});
+        }
+      }
+      ASSERT_EQ(want.busy_ns, metrics::overlap_time_windowed(
+                                  live, oracle.window_start_ns(), want.now_ns)
+                                  .ns());
+    }
+    EXPECT_LT(oracle.accesses(), shards.records_total() / 4);  // it evicted
+  }
 }
 
 TEST(TenantShards, ScrapesWhileIngestingMatchSerialIngest) {
@@ -270,7 +333,7 @@ TEST(TenantShards, ScrapesWhileIngestingMatchSerialIngest) {
   std::size_t scrapes = 0;
   std::thread scraper([&] {
     while (!done.load()) {
-      const std::string text = concurrent.prometheus_text(CollectorTransport{});
+      const std::string text = concurrent.prometheus_text(ingest::Counters{});
       const std::string csv = concurrent.csv_snapshot();
       EXPECT_NE(text.find("bpsio_window_records{tenant=\"all\"} "),
                 std::string::npos);
@@ -296,14 +359,14 @@ TEST(TenantShards, ScrapesWhileIngestingMatchSerialIngest) {
   EXPECT_GT(scrapes, 0u);
   // The windows slid: most records have left them again.
   const double live =
-      metric_value(serial.prometheus_text(CollectorTransport{}),
+      metric_value(serial.prometheus_text(ingest::Counters{}),
                    "bpsio_window_records{tenant=\"all\"} ");
   EXPECT_GT(live, 0.0);
   EXPECT_LT(live, static_cast<double>(serial.records_total()) / 2);
   EXPECT_EQ(concurrent.records_total(),
             static_cast<std::uint64_t>(kWorkers * kFramesPerWorker) * kFrameLen);
-  EXPECT_EQ(concurrent.prometheus_text(CollectorTransport{}),
-            serial.prometheus_text(CollectorTransport{}));
+  EXPECT_EQ(concurrent.prometheus_text(ingest::Counters{}),
+            serial.prometheus_text(ingest::Counters{}));
   EXPECT_EQ(concurrent.csv_snapshot(), serial.csv_snapshot());
 }
 
@@ -431,8 +494,8 @@ TEST(CollectorServer, DrainMatchesDirectSpillAcrossTenantsAndAgents) {
   for (const int fd : agent_fds) ::close(fd);
   serving.join();
   ASSERT_TRUE(run_status.ok()) << run_status.to_string();
-  EXPECT_EQ(server.transport().agents_connected_total, 4u);
-  EXPECT_EQ(server.transport().agents_active, 0u);
+  EXPECT_EQ(server.transport().connected_total, 4u);
+  EXPECT_EQ(server.transport().active, 0u);
   EXPECT_EQ(server.transport().bad_frames_total, 0u);
   EXPECT_EQ(server.transport().streams_total, 7u);
 
@@ -636,16 +699,16 @@ TEST(CollectorServer, AgentForwardComposesIntoTenantMetrics) {
   // The agent saw everything locally and shipped everything upstream over
   // the socket — nothing spilled, nothing dropped.
   EXPECT_EQ(agent.aggregator().records_total(), sent.size());
-  EXPECT_TRUE(agent.transport().forward.enabled);
-  EXPECT_EQ(agent.transport().forward.records_forwarded, sent.size());
-  EXPECT_GE(agent.transport().forward.frames_forwarded, 1u);
-  EXPECT_EQ(agent.transport().forward.records_spilled, 0u);
-  EXPECT_EQ(agent.transport().forward.records_dropped, 0u);
+  EXPECT_TRUE(agent.forward_stats().enabled);
+  EXPECT_EQ(agent.forward_stats().records_forwarded, sent.size());
+  EXPECT_GE(agent.forward_stats().frames_forwarded, 1u);
+  EXPECT_EQ(agent.forward_stats().records_spilled, 0u);
+  EXPECT_EQ(agent.forward_stats().records_dropped, 0u);
 
   // The collector filed the forwarded stream under the agent's tenant.
   EXPECT_EQ(upstream.shards().records_total(), sent.size());
   EXPECT_EQ(upstream.shards().tenants_seen(), 1u);
-  EXPECT_EQ(upstream.transport().agents_connected_total, 1u);
+  EXPECT_EQ(upstream.transport().connected_total, 1u);
   const std::string text =
       upstream.shards().prometheus_text(upstream.transport());
   EXPECT_NE(text.find("bpsio_records_total{tenant=\"web\"} 6\n"),

@@ -199,21 +199,23 @@ agent::MetricAggregator make_aggregator() {
 }
 
 TEST(Exposition, AgentPrometheusTextIsPinned) {
-  agent::TransportStats transport;
-  transport.clients_connected_total = 3;
-  transport.clients_active = 1;
+  ingest::Counters transport;
+  transport.connected_total = 3;
+  transport.active = 1;
   transport.frames_total = 7;
   transport.bad_frames_total = 1;
-  transport.forward.enabled = true;
-  transport.forward.frames_forwarded = 5;
-  transport.forward.records_forwarded = 11;
-  transport.forward.records_spilled = 2;
-  transport.forward.records_dropped = 1;
-  EXPECT_EQ(make_aggregator().prometheus_text(transport), kAgentPrometheus);
+  agent::ForwardStats forward;
+  forward.enabled = true;
+  forward.frames_forwarded = 5;
+  forward.records_forwarded = 11;
+  forward.records_spilled = 2;
+  forward.records_dropped = 1;
+  EXPECT_EQ(make_aggregator().prometheus_text(transport, forward),
+            kAgentPrometheus);
 
   // Without --forward the four forward families are absent and nothing
   // else moves.
-  transport.forward.enabled = false;
+  forward.enabled = false;
   std::istringstream pinned(kAgentPrometheus);
   std::string without_forward;
   for (std::string line; std::getline(pinned, line);) {
@@ -221,7 +223,8 @@ TEST(Exposition, AgentPrometheusTextIsPinned) {
       without_forward += line + "\n";
     }
   }
-  EXPECT_EQ(make_aggregator().prometheus_text(transport), without_forward);
+  EXPECT_EQ(make_aggregator().prometheus_text(transport, forward),
+            without_forward);
 }
 
 TEST(Exposition, AgentCsvSnapshotIsPinned) {
@@ -232,9 +235,9 @@ TEST(Exposition, CollectorTextsArePinned) {
   collector::TenantShards shards(4, SimDuration::from_seconds(1), 512);
   shards.ingest(shards.handle("alpha"), kAlpha);
   shards.ingest(shards.handle("beta"), kBeta);
-  collector::CollectorTransport transport;
-  transport.agents_connected_total = 2;
-  transport.agents_active = 1;
+  ingest::Counters transport;
+  transport.connected_total = 2;
+  transport.active = 1;
   transport.frames_total = 7;
   transport.bad_frames_total = 1;
   transport.streams_total = 5;

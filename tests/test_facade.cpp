@@ -41,7 +41,9 @@ TEST(Facade, MetricsBatchPipeline) {
 
 TEST(Facade, MetricsOnlineWindow) {
   metrics::SlidingWindowMetrics window(SimDuration::from_seconds(1));
-  window.add(trace::make_record(1, 32, SimTime(0), SimTime(1000000)));
+  const trace::IoRecord record =
+      trace::make_record(1, 32, SimTime(0), SimTime(1000000));
+  window.add({&record, 1});
   EXPECT_EQ(window.blocks(), 32u);
   EXPECT_EQ(window.io_time().ns(), 1000000);
   EXPECT_GT(window.bps(), 0.0);

@@ -273,6 +273,11 @@ WindowTruth window_truth(const std::vector<trace::IoRecord>& records,
   return truth;
 }
 
+/// One record, as the one-record span a frame of one would be.
+void add_one(SlidingWindowMetrics& live, const trace::IoRecord& record) {
+  live.add({&record, 1});
+}
+
 std::vector<trace::IoRecord> random_records(std::uint64_t seed, int n,
                                             std::int64_t span_ns) {
   Rng rng(seed);
@@ -296,7 +301,7 @@ TEST(SlidingWindow, MatchesBatchUnionOnRandomStreams) {
     const std::vector<trace::IoRecord> records =
         random_records(seed, 400, 200'000'000);  // 200 ms span, 50 ms window
     SlidingWindowMetrics live(window);
-    for (const trace::IoRecord& r : records) live.add(r);
+    for (const trace::IoRecord& r : records) add_one(live, r);
 
     const WindowTruth truth =
         window_truth(records, live.window_start_ns(), live.now().ns());
@@ -318,13 +323,13 @@ TEST(SlidingWindow, OrderIndependentIngest) {
             [](const trace::IoRecord& a, const trace::IoRecord& b) {
               return a.start_ns < b.start_ns;
             });  // bpsio-lint: allow(iorecord-sort) test fixture ordering
-  for (const trace::IoRecord& r : sorted) ordered.add(r);
+  for (const trace::IoRecord& r : sorted) add_one(ordered, r);
 
   Rng rng(77);
   for (int round = 0; round < 3; ++round) {
     std::shuffle(records.begin(), records.end(), rng);
     SlidingWindowMetrics shuffled(window);
-    for (const trace::IoRecord& r : records) shuffled.add(r);
+    for (const trace::IoRecord& r : records) add_one(shuffled, r);
     EXPECT_EQ(shuffled.accesses(), ordered.accesses());
     EXPECT_EQ(shuffled.blocks(), ordered.blocks());
     EXPECT_EQ(shuffled.io_time().ns(), ordered.io_time().ns());
@@ -345,7 +350,7 @@ TEST(SlidingWindow, SpanBatchMatchesPerRecordIngest) {
         random_records(seed, 300, 150'000'000);
 
     SlidingWindowMetrics per_record(window);
-    for (const trace::IoRecord& r : records) per_record.add(r);
+    for (const trace::IoRecord& r : records) add_one(per_record, r);
 
     for (const bool sort_frames : {true, false}) {
       std::vector<trace::IoRecord> feed = records;
@@ -390,7 +395,7 @@ TEST(SlidingWindow, SpanBatchSkipsInvalidAndExpiredRecords) {
   frame.push_back(trace::make_record(1, 9, SimTime(5'000), SimTime(1'000)));
   // Entirely older than the window once the first record set now.
   frame.push_back(trace::make_record(1, 7, SimTime(0), SimTime(100)));
-  for (const trace::IoRecord& r : frame) per_record.add(r);
+  for (const trace::IoRecord& r : frame) add_one(per_record, r);
   batched.add(std::span<const trace::IoRecord>(frame));
   EXPECT_EQ(batched.accesses(), per_record.accesses());
   EXPECT_EQ(batched.blocks(), per_record.blocks());
@@ -408,14 +413,14 @@ TEST(SlidingWindow, SpanBatchSkipsInvalidAndExpiredRecords) {
 
 TEST(SlidingWindow, EvictsAsTheWindowSlides) {
   SlidingWindowMetrics live(SimDuration::from_ms(10));
-  live.add(trace::make_record(1, 100, SimTime(0), SimTime(2'000'000)));
+  add_one(live, trace::make_record(1, 100, SimTime(0), SimTime(2'000'000)));
   EXPECT_EQ(live.accesses(), 1u);
   EXPECT_EQ(live.blocks(), 100u);
   EXPECT_EQ(live.io_time().ns(), 2'000'000);
 
   // A later record slides the window; the first stays live while its end
   // is inside (end > now - W), full block count either way.
-  live.add(trace::make_record(1, 50, SimTime(9'000'000), SimTime(11'000'000)));
+  add_one(live, trace::make_record(1, 50, SimTime(9'000'000), SimTime(11'000'000)));
   EXPECT_EQ(live.accesses(), 2u);
   EXPECT_EQ(live.blocks(), 150u);
   // Window is (1ms, 11ms]: first interval contributes (1ms, 2ms].
@@ -444,7 +449,7 @@ TEST(SlidingWindow, BoundaryTimestampEviction) {
 
   {
     SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'000)));
+    add_one(live, trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'000)));
     live.advance(SimTime(12'000'000));  // window start == record end exactly
     EXPECT_EQ(live.accesses(), 0u);
     EXPECT_EQ(live.blocks(), 0u);
@@ -452,7 +457,7 @@ TEST(SlidingWindow, BoundaryTimestampEviction) {
   }
   {
     SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'001)));
+    add_one(live, trace::make_record(1, 7, SimTime(1'000'000), SimTime(2'000'001)));
     live.advance(SimTime(12'000'000));  // record end == window start + 1 ns
     EXPECT_EQ(live.accesses(), 1u);
     EXPECT_EQ(live.blocks(), 7u);
@@ -466,9 +471,9 @@ TEST(SlidingWindow, BoundaryTimestampEviction) {
     // Ingest-driven boundary: a new record whose arrival slides the window
     // start to exactly the old record's end evicts it within the same add().
     SlidingWindowMetrics live(window);
-    live.add(trace::make_record(1, 3, SimTime(0), SimTime(5'000'000)));
-    live.add(
-        trace::make_record(2, 4, SimTime(14'000'000), SimTime(15'000'000)));
+    add_one(live, trace::make_record(1, 3, SimTime(0), SimTime(5'000'000)));
+    add_one(live,
+            trace::make_record(2, 4, SimTime(14'000'000), SimTime(15'000'000)));
     EXPECT_EQ(live.accesses(), 1u);
     EXPECT_EQ(live.blocks(), 4u);
     EXPECT_EQ(live.io_time().ns(), 1'000'000);
@@ -477,10 +482,10 @@ TEST(SlidingWindow, BoundaryTimestampEviction) {
 
 TEST(SlidingWindow, FullyExpiredRecordsAreIgnored) {
   SlidingWindowMetrics live(SimDuration::from_ms(1));
-  live.add(trace::make_record(1, 10, SimTime(100'000'000), SimTime(101'000'000)));
+  add_one(live, trace::make_record(1, 10, SimTime(100'000'000), SimTime(101'000'000)));
   const std::uint64_t before = live.accesses();
   // Ancient record: end far behind the window start. Must not resurrect.
-  live.add(trace::make_record(2, 999, SimTime(0), SimTime(1'000)));
+  add_one(live, trace::make_record(2, 999, SimTime(0), SimTime(1'000)));
   EXPECT_EQ(live.accesses(), before);
   EXPECT_EQ(live.blocks(), 10u);
   // now must never move backwards either.
@@ -491,8 +496,8 @@ TEST(SlidingWindow, RatesUseWindowAndBusyTime) {
   const SimDuration window = SimDuration::from_ms(100);
   SlidingWindowMetrics live(window);
   // Two disjoint 10ms accesses, 64 blocks each.
-  live.add(trace::make_record(1, 64, SimTime(0), SimTime(10'000'000)));
-  live.add(trace::make_record(1, 64, SimTime(20'000'000), SimTime(30'000'000)));
+  add_one(live, trace::make_record(1, 64, SimTime(0), SimTime(10'000'000)));
+  add_one(live, trace::make_record(1, 64, SimTime(20'000'000), SimTime(30'000'000)));
   EXPECT_DOUBLE_EQ(live.io_time().seconds(), 0.020);
   EXPECT_DOUBLE_EQ(live.bps(), 128.0 / 0.020);            // B / T
   EXPECT_DOUBLE_EQ(live.iops(), 2.0 / window.seconds());  // per window
@@ -502,10 +507,10 @@ TEST(SlidingWindow, RatesUseWindowAndBusyTime) {
 
 // ---------------------------------------------------------------------------
 // Eviction runs. add(span) keeps each frame's live records as one run in end
-// order, add(record) goes to a per-record heap; the cases
-// below pin that bookkeeping against the batch union on the shapes a daemon
-// sees: long interleaved per-thread frames, frames ordered by start but not
-// by end, single-record frames, a run recycled and reused, and reset().
+// order (a single record is a one-record run); the cases below pin that
+// bookkeeping against the batch union on the shapes a daemon sees: long
+// interleaved per-thread frames, frames ordered by start but not by end,
+// single-record frames, a run recycled and reused, and reset().
 // ---------------------------------------------------------------------------
 
 /// Exact agreement with the batch ground truth over every record fed so far
@@ -586,7 +591,7 @@ TEST(SlidingWindowRuns, InterleavedMonotoneFramesMatchBatchUnion) {
                                                    len};
       at[t] += len;
       batched.add(frame);
-      for (const trace::IoRecord& r : frame) per_record.add(r);
+      for (const trace::IoRecord& r : frame) add_one(per_record, r);
       fed.insert(fed.end(), frame.begin(), frame.end());
       ++frames;
       expect_same_window(batched, per_record, "after a frame");
@@ -618,7 +623,7 @@ TEST(SlidingWindowRuns, StartOrderedFramesThatAreNotEndOrdered) {
           trace::make_record(1, 1, SimTime(start), SimTime(start + 50'000)));
     }
     batched.add(std::span<const trace::IoRecord>(frame));
-    for (const trace::IoRecord& r : frame) per_record.add(r);
+    for (const trace::IoRecord& r : frame) add_one(per_record, r);
     fed.insert(fed.end(), frame.begin(), frame.end());
     expect_same_window(batched, per_record, "after a frame");
     expect_window_matches(batched, fed, "batched");
@@ -639,14 +644,14 @@ TEST(SlidingWindowRuns, SingleRecordFrames) {
   const std::vector<trace::IoRecord> records =
       random_records(808, 500, 120'000'000);
   SlidingWindowMetrics batched(window);
-  SlidingWindowMetrics per_record(window);
+  SlidingWindowMetrics whole(window);
   std::vector<trace::IoRecord> fed;
   for (const trace::IoRecord& r : records) {
     batched.add(std::span<const trace::IoRecord>(&r, 1));
-    per_record.add(r);
     fed.push_back(r);
   }
-  expect_same_window(batched, per_record, "single-record frames");
+  whole.add(std::span<const trace::IoRecord>(records));
+  expect_same_window(batched, whole, "single-record frames");
   // The records arrive unordered; at the final edge none ends after `now`.
   expect_window_matches(batched, fed, "single-record frames");
 }
@@ -658,7 +663,7 @@ TEST(SlidingWindowRuns, InOrderRecordAfterARecycledRun) {
   const auto feed = [&](std::int64_t start, std::int64_t end,
                         std::uint64_t blocks) {
     fed.push_back(trace::make_record(1, blocks, SimTime(start), SimTime(end)));
-    live.add(fed.back());
+    add_one(live, fed.back());
   };
   const auto feed_frame = [&](std::vector<trace::IoRecord> frame) {
     fed.insert(fed.end(), frame.begin(), frame.end());
@@ -695,7 +700,7 @@ TEST(SlidingWindowRuns, ResetThenReuse) {
   const SimDuration window = SimDuration::from_ms(25);
   SlidingWindowMetrics live(window);
   for (const trace::IoRecord& r : random_records(42, 300, 90'000'000)) {
-    live.add(r);
+    add_one(live, r);
   }
   ASSERT_GT(live.accesses(), 0u);
   live.reset();

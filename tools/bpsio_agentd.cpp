@@ -67,7 +67,7 @@ int run_agentd(int argc, char** argv) {
     return std::to_string(server.aggregator().records_total()) +
            " records, " + std::to_string(server.aggregator().blocks_total()) +
            " blocks, " +
-           std::to_string(server.transport().clients_connected_total) +
+           std::to_string(server.transport().connected_total) +
            " client(s)";
   });
 }

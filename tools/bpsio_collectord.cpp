@@ -79,7 +79,7 @@ int run_collectord(int argc, char** argv) {
     return std::to_string(shards_state.records_total()) + " records, " +
            std::to_string(shards_state.blocks_total()) + " blocks, " +
            std::to_string(shards_state.tenants_seen()) + " tenant(s), " +
-           std::to_string(server.transport().agents_connected_total) +
+           std::to_string(server.transport().connected_total) +
            " agent(s)";
   });
 }
